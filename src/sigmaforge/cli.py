@@ -195,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "json"), default="text",
                         help="report format")
-    common.add_argument("--jobs", type=int, default=_default_jobs(),
-                        help="worker processes (default from SIGMAFORGE_JOBS)")
 
     parser = argparse.ArgumentParser(
         prog="sigmaforge",
@@ -265,6 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=matmodel.FAMILIES, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=100)
+    p.add_argument("--jobs", type=int, default=_default_jobs(),
+                   help="worker processes (default from SIGMAFORGE_JOBS)")
     p.set_defaults(func=_cmd_search)
 
     return parser

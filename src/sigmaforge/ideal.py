@@ -17,8 +17,10 @@ from functools import lru_cache
 
 from . import cyclic
 from .linalg import RowSpace
-from .ring import Monomial, Polynomial, basis_words, render_poly
-from .sigma import build_sigma
+from .ring import (Monomial, Polynomial, basis_words, render_poly,
+                   variable_commutator)
+from .sigma import (build_sigma, char_poly_image, factored_char_coefficients,
+                    inverse_identity_image, verify_sigma_independence)
 
 COMMUTATORS = "commutators"
 DIFFERENCES = "sigma-differences"
@@ -307,15 +309,11 @@ def member(p: Polynomial, gset: GeneratorSet, certify=False) -> MemberResult:
 
 def offdiag_commutators(n: int):
     """[i, j+1] for 1 <= i < j < n: the independent quadratic commutators."""
-    from .ring import variable_commutator
-
     return [((i, j + 1), variable_commutator(i, j + 1, n))
             for i in range(1, n) for j in range(i + 1, n)]
 
 
 def _second_sum(n: int, k: int) -> Polynomial:
-    from .ring import variable_commutator
-
     total = Polynomial.zero(n)
     for j in range(k + 1, n + 1):
         total = total + variable_commutator(k - 1, j, n)
@@ -323,8 +321,6 @@ def _second_sum(n: int, k: int) -> Polynomial:
 
 
 def _first_sum(n: int, k: int) -> Polynomial:
-    from .ring import variable_commutator
-
     total = Polynomial.zero(n)
     for p in range(1, k - 1):
         for j in range(k, n + 1):
@@ -341,8 +337,6 @@ def diagonal_commutator_expansion(n: int, k: int):
     (expression, sign) with sign in {+1, -1, 0}; 0 means the second sum
     is empty and the candidates coincide.
     """
-    from .ring import variable_commutator
-
     if not 2 <= k <= n:
         raise ValueError("k must be in 2..n")
     target = variable_commutator(k, k - 1, n)
@@ -367,8 +361,6 @@ def expand_diagonal_commutator(n: int, k: int) -> Polynomial:
 
 
 def _canonical_quadratic_basis(n: int):
-    from .ring import variable_commutator
-
     basis = []
     for i in range(1, n + 1):
         basis.append((("squares", i),
@@ -392,7 +384,8 @@ def _canonical_quadratic_space(n: int):
     for t, (label, poly) in enumerate(_canonical_quadratic_basis(n)):
         labels.append(label)
         scale, vec = sl.vector_of(poly)
-        assert scale == 1
+        if scale != 1:
+            raise AssertionError("canonical quadratic basis is not integral")
         rows.append(vec + [1 if j == t else 0 for j in range(nb)])
     for row in sl.space.rows:
         rows.append(list(row) + [0] * nb)
@@ -427,8 +420,6 @@ def canonical_quadratic(p: Polynomial) -> dict:
 
 def reconstruct_quadratic(coeffs: dict, n: int) -> Polynomial:
     """Inverse of canonical_quadratic up to ideal members."""
-    from .ring import variable_commutator
-
     total = Polynomial.zero(n)
     for i, c in coeffs.get("squares", {}).items():
         total = total + Polynomial.from_monomial(Monomial((i,), (2,)), n) * c
@@ -466,8 +457,6 @@ def check_thm_1_1(n: int, max_degree=None):
 
 
 def check_thm_1_3_independence(n: int, max_degree=None):
-    from .ring import variable_commutator
-
     sl = degree_slice(commutator_generators(n), 2)
     vectors = []
     for _, c in offdiag_commutators(n):
@@ -509,8 +498,6 @@ def check_eq_4(n: int, max_degree=None):
 
 
 def check_cor_1_4(n: int, max_degree=None):
-    from .ring import variable_commutator
-
     gset = commutator_generators(n)
     out = []
     for i in range(1, n + 1):
@@ -527,8 +514,6 @@ def check_cor_1_4(n: int, max_degree=None):
 def cor_1_5_difference(n: int) -> Polynomial:
     """Sum of the diagonal commutators minus its weighted off-diagonal
     expansion; a degree-2 ideal member when the identity holds."""
-    from .ring import variable_commutator
-
     lhs = Polynomial.zero(n)
     for k in range(2, n + 1):
         lhs = lhs + variable_commutator(k, k - 1, n)
@@ -572,8 +557,6 @@ def check_cor_1_6_dim(n: int, max_degree=None, trips=20, seed=0):
 
 
 def check_root_identity(n: int, max_degree=None):
-    from .sigma import char_poly_image
-
     gset = commutator_generators(n)
     out = []
     for i in range(1, n + 1):
@@ -583,8 +566,6 @@ def check_root_identity(n: int, max_degree=None):
 
 
 def check_factored_coeffs(n: int, max_degree=None):
-    from .sigma import factored_char_coefficients
-
     gset = commutator_generators(n)
     out = []
     for r in range(n):
@@ -598,8 +579,6 @@ def check_factored_coeffs(n: int, max_degree=None):
 
 
 def check_inverse_identity(n: int, max_degree=None):
-    from .sigma import inverse_identity_image
-
     gset = commutator_generators(n)
     out = []
     for i in range(1, n + 1):
@@ -609,8 +588,6 @@ def check_inverse_identity(n: int, max_degree=None):
 
 
 def check_sigma_independence(n: int, max_degree=None):
-    from .sigma import verify_sigma_independence
-
     bound = max_degree or default_degree_bound(n)
     rep = verify_sigma_independence(n, bound)
     return [_unit("sigma_independence", n, bound, rep["independent"], rep)]

@@ -15,9 +15,12 @@ decided by exact rank.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .linalg import rank_of
 
 FAMILIES = ("commuting", "conj-cyclic", "block-triangular", "dense")
 
@@ -56,24 +59,13 @@ def is_zero_matrix(m) -> bool:
 
 
 def mat_rank(m) -> int:
-    """Rank over the rationals by fraction elimination."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c] / lead
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    """Rank over the rationals: rows cleared of denominators, then exact
+    integer elimination."""
+    rows = []
+    for row in m:
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([int(x * scale) for x in row])
+    return rank_of(rows, len(rows[0]) if rows else 0)
 
 
 @dataclass(frozen=True)
@@ -167,9 +159,10 @@ def check_c12(t: MatrixTuple) -> tuple:
             break
     commuting = all(mat_mul(s, m) == mat_mul(m, s)
                     for s in sigmas for m in t.mats)
-    assert invariant == commuting, (
-        f"invariant={invariant} but commuting={commuting}; "
-        f"the equivalence failed on {t!r}")
+    if invariant != commuting:
+        raise AssertionError(
+            f"invariant={invariant} but commuting={commuting}; "
+            f"the equivalence failed on {t!r}")
     return invariant, commuting
 
 

@@ -313,12 +313,12 @@ def reduce_to_S_form(p: Polynomial, certify=False,
                      max_degree=6) -> SReduced:
     """Reduce an invariant polynomial; optionally certify the result by
     exact membership of the difference in the invariance ideal."""
+    d = p.degree()
+    if certify and d is not None and d > max_degree:
+        raise ValueError(
+            f"certification bound {max_degree} below degree {d}")
     sr = reduce_invariant(p)
     if certify:
-        d = p.degree()
-        if d is not None and d > max_degree:
-            raise ValueError(
-                f"certification bound {max_degree} below degree {d}")
         diff = p - expand_to_ring(sr)
         if not member(diff, commutator_generators(N)).member:
             raise AssertionError("reduction failed ideal certification")
@@ -335,19 +335,6 @@ def _unit(check, degree, status, witness):
 
 def _x(i: int) -> Polynomial:
     return Polynomial.variable((i - 1) % N + 1, N)
-
-
-def _q_reduce(vec, space):
-    """Linear residual of a rational vector against integer RREF rows."""
-    v = [Fraction(x) for x in vec]
-    for row in space.rows:
-        j = next(k for k, x in enumerate(row) if x)
-        if v[j]:
-            t = v[j] / row[j]
-            for k in range(j, len(row)):
-                if row[k]:
-                    v[k] -= t * row[k]
-    return v
 
 
 def _check_base_table():
@@ -497,38 +484,23 @@ def _check_central_quadratics():
     sl3 = degree_slice(gset, 3)
     words = basis_words(N, 2)
     nw = len(words)
-    rows = []
-    for t, w in enumerate(words):
+    # row t is [residuals of [x_i, w_t] modulo the degree-3 slice | tag
+    # e_t]; one common scale keeps every row proportional to its exact
+    # rational value, so rows pivoting in the tag block carry a basis of
+    # the kernel there
+    blocks = []
+    for w in words:
         p = Polynomial.from_monomial(w, N)
-        joint = []
-        for i in (1, 2, 3):
-            br = _x(i) * p - p * _x(i)
-            vec = [Fraction(0)] * len(sl3.basis)
-            for m, co in br.terms.items():
-                vec[sl3.index[m]] = co
-            joint.extend(_q_reduce(vec, sl3.space))
-        rows.append(joint + [Fraction(1 if j == t else 0)
-                             for j in range(nw)])
-    # eliminate on the residual block; rows that empty out there have
-    # kernel vectors sitting in their tag block.  Pivots are applied in
-    # ascending column order so cleared columns stay cleared.
-    width = len(rows[0])
-    real = width - nw
-    pivots = []
-    basis_rows = []
-    for row in rows:
-        row = list(row)
-        for pj, prow in sorted(pivots):
-            if row[pj]:
-                t = row[pj] / prow[pj]
-                for k in range(pj, width):
-                    if prow[k]:
-                        row[k] -= t * prow[k]
-        j = next((k for k, x in enumerate(row[:real]) if x), None)
-        if j is None:
-            basis_rows.append(row[real:])
-        else:
-            pivots.append((j, row))
+        vecs = [sl3.vector_of(_x(i) * p - p * _x(i))[1] for i in (1, 2, 3)]
+        blocks.append([sl3.space.reduce(v) for v in vecs])
+    scale = math.lcm(*(alpha for bl in blocks for _, alpha in bl))
+    real = 3 * len(sl3.basis)
+    rows = [[x * (scale // alpha) for res, alpha in bl for x in res]
+            + [scale if j == t else 0 for j in range(nw)]
+            for t, bl in enumerate(blocks)]
+    space = RowSpace(rows, real + nw)
+    basis_rows = [row[real:] for j, row in zip(space.pivots, space.rows)
+                  if j >= real]
     nullity = len(basis_rows)
     s1 = build_sigma(N, 1)
     s2 = build_sigma(N, 2)
@@ -540,9 +512,7 @@ def _check_central_quadratics():
     contained = True
     for a in basis_rows:
         p = Polynomial({w: c for w, c in zip(words, a) if c}, N)
-        scale = math.lcm(*(c.denominator for c in p.terms.values())) \
-            if p.terms else 1
-        _, v = sl2.vector_of(p * scale)
+        _, v = sl2.vector_of(p)
         if not span.contains(v):
             contained = False
     expected = 2 + sl2.rank
@@ -592,12 +562,8 @@ def _check_s_independence(max_degree):
             p = _expand_comm(CommPoly({ev: 1}, 5))
             for _ in range(j):
                 p = p * c
-            vec = [Fraction(0)] * len(sl.basis)
-            for m, co in p.terms.items():
-                vec[sl.index[m]] = co
-            red = _q_reduce(vec, sl.space)
-            scale = math.lcm(*(x.denominator for x in red)) if red else 1
-            rows.append([int(x * scale) for x in red])
+            _, vec = sl.vector_of(p)
+            rows.append(sl.space.reduce(vec)[0])
         rank = RowSpace(rows, len(sl.basis)).rank
         out.append(_unit("n3_s_independence", d, rank == count,
                          {"count": count, "rank": rank}))

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import cyclic
 from .atoms import factor_atoms, is_atom, orbit_max
-from .ring import Monomial, ONE, Polynomial, render_monomial
+from .ring import Monomial, ONE, Polynomial, render_monomial, render_terms
 
 
 class AtomExpression:
@@ -100,23 +100,8 @@ class AtomExpression:
             reverse=True)
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for fs, c in self.sorted_terms():
-            body = _render_product(fs)
-            mag = abs(c)
-            if body is None:
-                chunk = str(mag)
-            elif mag == 1:
-                chunk = body
-            else:
-                chunk = f"{mag}*{body}"
-            if not parts:
-                parts.append(chunk if c > 0 else f"-{chunk}")
-            else:
-                parts.append(f"{' + ' if c > 0 else ' - '}{chunk}")
-        return "".join(parts)
+        return render_terms((c, _render_product(fs))
+                            for fs, c in self.sorted_terms())
 
     def __repr__(self):
         return f"AtomExpression({self.render()!r}, n={self.arity})"

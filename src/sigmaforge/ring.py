@@ -460,25 +460,30 @@ def parse_monomial(text: str, n: int) -> Monomial:
     return m
 
 
-def _render_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def render_terms(pairs) -> str:
+    """Join (coeff, body) pairs into signed text, in the order given.
+
+    A body of None is a constant term.  A magnitude of 1 is dropped in
+    front of a body; the first term carries a bare '-' when negative and
+    later terms are joined with ' + ' or ' - '.  No pairs render as "0".
+    """
+    pieces = []
+    for c, body in pairs:
+        mag = abs(c)
+        if body is None:
+            chunk = str(mag)
+        elif mag == 1:
+            chunk = body
+        else:
+            chunk = f"{mag}*{body}"
+        if not pieces:
+            pieces.append(chunk if c > 0 else f"-{chunk}")
+        else:
+            pieces.append(f" + {chunk}" if c > 0 else f" - {chunk}")
+    return "".join(pieces) if pieces else "0"
 
 
 def render_poly(p: Polynomial) -> str:
     """Deterministic rendering, terms in strictly decreasing order."""
-    if p.is_zero():
-        return "0"
-    pieces = []
-    for m, c in p.sorted_terms():
-        mag = abs(c)
-        if m.is_unit():
-            body = _render_coeff(mag)
-        elif mag == 1:
-            body = render_monomial(m)
-        else:
-            body = f"{_render_coeff(mag)}*{render_monomial(m)}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(pieces)
+    return render_terms((c, None if m.is_unit() else render_monomial(m))
+                        for m, c in p.sorted_terms())

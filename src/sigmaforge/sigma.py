@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .ring import Monomial, Polynomial
+from .ring import Monomial, Polynomial, render_terms
 
 
 def _as_word(indices, n: int) -> Polynomial:
@@ -172,31 +172,15 @@ class CommPoly:
         return hash((self.arity, frozenset(self.terms.items())))
 
     def render(self, names=None) -> str:
-        if not self.terms:
-            return "0"
         if names is None:
             names = [f"y{i}" for i in range(1, self.arity + 1)]
 
-        def key(ev):
-            return (sum(ev), ev)
+        def body(ev):
+            return "*".join(f"{names[i]}^{e}" if e > 1 else names[i]
+                            for i, e in enumerate(ev) if e) or None
 
-        pieces = []
-        for ev in sorted(self.terms, key=key, reverse=True):
-            c = self.terms[ev]
-            factors = [f"{names[i]}^{e}" if e > 1 else names[i]
-                       for i, e in enumerate(ev) if e]
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = f"{mag}*" + "*".join(factors)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(pieces)
+        order = sorted(self.terms, key=lambda ev: (sum(ev), ev), reverse=True)
+        return render_terms((self.terms[ev], body(ev)) for ev in order)
 
     def __repr__(self):
         return f"CommPoly({self.render()!r})"
@@ -317,7 +301,9 @@ def verify_sigma_independence(n: int, degree_bound: int) -> dict:
         vec = {}
         for ev, c in poly.terms.items():
             col = basis.setdefault(ev, len(basis))
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise AssertionError("power product has a fractional "
+                                     "coefficient")
             vec[col] = c.numerator
         vectors.append(vec)
     space = linalg.RowSpace(vectors, len(basis))

@@ -170,6 +170,12 @@ def test_jobs_env_default(capsys, monkeypatch):
     assert first == second
 
 
+def test_jobs_is_a_search_option_only(capsys):
+    code, _, err = run(capsys, "sigma", "3", "2", "--jobs", "2")
+    assert code == 2
+    assert "--jobs" in err
+
+
 def test_missing_command_is_usage_error(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()

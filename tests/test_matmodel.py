@@ -3,11 +3,16 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
 
+from sigmaforge import matmodel
 from sigmaforge.matmodel import (
     FAMILIES,
     MatrixTuple,
@@ -146,6 +151,53 @@ def test_mat_rank():
     assert mat_rank(((Fraction(1, 2), 1), (1, 3))) == 2
 
 
+def _fraction_rank(m):
+    """Reference rank: forward elimination on Fraction rows."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    ncols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][c]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] / lead
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+def test_mat_rank_matches_fraction_elimination():
+    rng = random.Random(31)
+    ranks = set()
+    for _ in range(400):
+        nrows, ncols = rng.randint(0, 5), rng.randint(1, 5)
+        m = []
+        for _ in range(nrows):
+            pick = rng.random()
+            if pick < 0.15:
+                row = [0] * ncols
+            elif pick < 0.35 and len(m) >= 2:
+                # a rational combination of two earlier rows
+                a, b = rng.sample(m, 2)
+                f = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                row = [x + f * y for x, y in zip(a, b)]
+            else:
+                row = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                       for _ in range(ncols)]
+            m.append(tuple(row))
+        expected = _fraction_rank(m)
+        assert mat_rank(tuple(m)) == expected, m
+        ranks.add((nrows, ncols, expected))
+    assert any(r < min(nr, nc) for nr, nc, r in ranks)
+    assert any(nr != nc for nr, nc, _ in ranks)
+
+
 def test_commutator_of_commuting_is_zero():
     t = random_tuple("commuting", 3, 3, random.Random(2))
     assert is_zero_matrix(mat_commutator(t.mats[0], t.mats[1]))
@@ -222,3 +274,29 @@ def test_search_jobs_do_not_change_the_report():
     params = {"n": 3, "dim": 2, "family": "block-triangular",
               "seed": 0, "budget": 300}
     assert zero_divisor_search(params) == zero_divisor_search(params, jobs=2)
+
+
+C12_UNDER_O = """
+from sigmaforge import matmodel
+t = matmodel.MatrixTuple.from_mats(
+    [((1, 0), (0, 2)), ((3, 0), (0, 4)), ((5, 0), (0, 6))])
+# the tuple itself gets identity sigmas (which commute with everything),
+# every rotation gets zero sigmas: the two verdicts must disagree
+matmodel.eval_sigma_matrices = lambda u, k: (
+    matmodel.identity_matrix(u.dim) if u == t
+    else matmodel.zero_matrix(u.dim))
+try:
+    matmodel.check_c12(t)
+except AssertionError:
+    print("raised", __debug__)
+else:
+    print("returned", __debug__)
+"""
+
+
+def test_check_c12_disagreement_raises_under_python_O():
+    src = str(Path(matmodel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", C12_UNDER_O],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["raised", "False"]

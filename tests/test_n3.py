@@ -186,6 +186,15 @@ def test_reduce_certify_bound():
     assert not sr.is_zero()
 
 
+def test_degree_guard_refuses_before_reducing(monkeypatch):
+    def reached(p):
+        raise AssertionError("the reduction ran before the guard")
+
+    monkeypatch.setattr(n3lab, "reduce_invariant", reached)
+    with pytest.raises(ValueError, match="below degree 7"):
+        reduce_to_S_form(parse_poly("x1^7 + x2^7 + x3^7", 3), certify=True)
+
+
 def test_sreduced_render():
     sr = SReduced(sym(2), -sym(1), 3)
     text = sr.render()

@@ -3,10 +3,12 @@ import random
 import pytest
 from fractions import Fraction
 
+from sigmaforge.rewrite import AtomExpression
 from sigmaforge.ring import (
     ONE, Monomial, Polynomial, basis_words, commutator, parse_monomial,
     parse_poly, render_monomial, render_poly, variable_commutator,
 )
+from sigmaforge.sigma import CommPoly
 
 
 def M(*letters):
@@ -188,3 +190,22 @@ class TestTextFormat:
             parse_monomial("x1 + x2", 3)
         with pytest.raises(ValueError):
             parse_monomial("2*x1", 3)
+
+
+# {power of the one variable: coefficient}; power 0 is the constant term
+@pytest.mark.parametrize("terms, text", [
+    ({2: -1, 1: 2}, "-{v}^2 + 2*{v}"),
+    ({2: 1, 1: Fraction(-3, 2)}, "{v}^2 - 3/2*{v}"),
+    ({1: 1, 0: -1}, "{v} - 1"),
+    ({0: Fraction(-7, 3)}, "-7/3"),
+    ({}, "0"),
+], ids=["leading-negative", "three-halves", "magnitude-one",
+        "constant-only", "zero"])
+def test_renderers_share_the_signed_join(terms, text):
+    x1 = M(1)
+    poly = Polynomial({x1 ** e: c for e, c in terms.items()}, 3)
+    comm = CommPoly({(e,): c for e, c in terms.items()}, 1)
+    expr = AtomExpression({(x1,) * e: c for e, c in terms.items()}, 3)
+    assert render_poly(poly) == text.format(v="x1")
+    assert comm.render() == text.format(v="y1")
+    assert expr.render() == text.format(v="O[x1]")
