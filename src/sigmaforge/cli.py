@@ -191,10 +191,15 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", choices=("text", "json"), default="text",
+def _output_parent(default) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--output", choices=("text", "json"), default=default,
                         help="report format")
+    return parent
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _output_parent("text")
 
     parser = argparse.ArgumentParser(
         prog="sigmaforge",
@@ -248,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("n3", parents=[common], help="three-variable lab")
     n3sub = p.add_subparsers(dest="n3_command", required=True)
-    q = n3sub.add_parser("reduce", parents=[common],
+    # no default at the inner level, or it would overwrite an --output
+    # given before the subcommand
+    q = n3sub.add_parser("reduce",
+                         parents=[_output_parent(argparse.SUPPRESS)],
                          help="reduce an invariant to its symbol form")
     q.add_argument("polynomial")
     q.add_argument("--max-degree", type=int, default=6)

@@ -168,33 +168,32 @@ class DegreeSlice:
     def quotient_dim(self) -> int:
         return len(self.basis) - self.rank
 
-    def vector_of(self, p: Polynomial):
-        """(scale, dense integer vector) for a homogeneous-of-this-degree p."""
+    def terms_of(self, p: Polynomial):
+        """(scale, {column: int}) for a homogeneous-of-this-degree p."""
         if p.arity != self.n:
             raise ValueError("arity mismatch")
         if not p.is_homogeneous(self.degree):
             raise ValueError(f"expected a homogeneous degree-{self.degree} "
                              "polynomial")
         scale, terms = _integerized(p)
+        return scale, {self.index[m]: x for m, x in terms.items()}
+
+    def vector_of(self, p: Polynomial):
+        """(scale, dense integer vector) for a homogeneous-of-this-degree p."""
+        scale, terms = self.terms_of(p)
         vec = [0] * len(self.basis)
-        for m, x in terms.items():
-            vec[self.index[m]] = x
+        for j, x in terms.items():
+            vec[j] = x
         return scale, vec
 
-    def _pad(self, vec):
-        return vec + [0] * (self.space.ncols - len(vec))
-
     def contains(self, p: Polynomial) -> bool:
-        _, vec = self.vector_of(p)
-        row, _ = self.space.reduce(self._pad(vec))
         # tag columns only track combinations; membership lives in the
-        # real columns
-        return not any(row[:len(self.basis)])
+        # real columns, which end at the space's pivot limit
+        return self.space.contains(self.terms_of(p)[1])
 
     def residual(self, p: Polynomial) -> Polynomial:
         """Normalized residual of p modulo the slice; zero iff member."""
-        _, vec = self.vector_of(p)
-        row, _ = self.space.reduce(self._pad(vec))
+        row, _ = self.space.reduce(self.terms_of(p)[1])
         row = row[:len(self.basis)]
         g = 0
         lead = 0
@@ -218,9 +217,9 @@ class DegreeSlice:
         """
         if self.row_meta is None:
             raise ValueError("slice was built without combination tags")
-        scale, vec = self.vector_of(p)
+        scale, terms = self.terms_of(p)
         ncols = len(self.basis)
-        row, alpha = self.space.reduce(vec + [0] * len(self.row_meta))
+        row, alpha = self.space.reduce(terms)
         if any(row[:ncols]):
             return None
         denom = alpha * scale
@@ -233,6 +232,14 @@ class DegreeSlice:
 
 
 _slice_cache = {}
+
+
+def clear_caches():
+    """Drop every cached slice and generator family of this module."""
+    _slice_cache.clear()
+    commutator_generators.cache_clear()
+    difference_generators.cache_clear()
+    _canonical_quadratic_space.cache_clear()
 
 
 def degree_slice(gset: GeneratorSet, degree: int,
@@ -405,8 +412,8 @@ def canonical_quadratic(p: Polynomial) -> dict:
     if not p.is_homogeneous(2):
         raise ValueError("expected a homogeneous quadratic")
     sl, space, labels = _canonical_quadratic_space(n)
-    scale, vec = sl.vector_of(p)
-    row, alpha = space.reduce(vec + [0] * len(labels))
+    scale, terms = sl.terms_of(p)
+    row, alpha = space.reduce(terms)
     if any(row[:len(sl.basis)]):
         raise AssertionError("quadratic failed to reduce; basis incomplete")
     denom = alpha * scale

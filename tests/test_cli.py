@@ -118,6 +118,15 @@ def test_n3_reduce(capsys):
     assert out.strip() == "s2 + c"
 
 
+def test_n3_output_option_at_either_level(capsys):
+    poly = "x1*x2 + x2*x3 + x3*x1"
+    for argv in (("n3", "--output", "json", "reduce", poly, "--no-certify"),
+                 ("n3", "reduce", poly, "--no-certify", "--output", "json")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["s_form"] == "s2 + c"
+
+
 def test_n3_reduce_degree_guard(capsys):
     code, _, err = run(capsys, "n3", "reduce", "x1^7 + x2^7 + x3^7")
     assert code == 2

@@ -39,6 +39,30 @@ def test_quotient_dims_frozen():
             assert quotient_dim(n, d) == expected, (n, d)
 
 
+def test_largest_slices_frozen():
+    # beyond the default bounds; both values come from the dense kernel
+    # that preceded the sparse one
+    gset = commutator_generators(5)
+    assert ideal.DegreeSlice(gset, 5).rank == 2018
+    assert ideal.DegreeSlice(commutator_generators(3), 7).quotient_dim == 70
+
+
+def test_clear_caches_rebuilds_equal_slices():
+    gset = commutator_generators(3)
+    before = degree_slice(gset, 4)
+    canonical_quadratic(variable_commutator(1, 2, 3))
+    ideal.clear_caches()
+    assert not ideal._slice_cache
+    assert ideal._canonical_quadratic_space.cache_info().currsize == 0
+    assert difference_generators.cache_info().currsize == 0
+    assert commutator_generators(3) is not gset
+    after = degree_slice(commutator_generators(3), 4)
+    assert after is not before  # the cache missed again
+    assert len(ideal._slice_cache) == 1
+    assert after.space == before.space
+    assert hash(after.space) == hash(before.space)
+
+
 def test_degree_two_dim_formula():
     # n^2 - n + 1 in the quadratic slice
     for n in (3, 4, 5, 6):

@@ -1,6 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
+import pytest
+
+from sigmaforge import ideal
 from sigmaforge.linalg import RowSpace, rank_of
 
 
@@ -142,3 +146,225 @@ class TestReduce:
 
 def test_rank_of():
     assert rank_of([[1, 1], [2, 2], [0, 1]], 2) == 2
+
+
+# -- the dense kernel, kept as the oracle of the sparse one -------------
+
+
+def _dense_content_normalize(row, start=0):
+    """Divide by the gcd and make the first nonzero entry positive."""
+    g = 0
+    first = None
+    for k in range(start, len(row)):
+        x = row[k]
+        if x:
+            if first is None:
+                first = x
+            g = math.gcd(g, x)
+            if g == 1 and first > 0:
+                return row
+    if first is None:
+        return row
+    if first < 0:
+        g = -g
+    if g not in (0, 1):
+        for k in range(start, len(row)):
+            row[k] //= g
+    return row
+
+
+class DenseRowSpace:
+    """The dense integer elimination RowSpace used before rows became
+    sparse: same insertion order, same gcd scaling, every column
+    visited."""
+
+    def __init__(self, rows, ncols, pivot_limit=None):
+        self.ncols = ncols
+        self.pivot_limit = ncols if pivot_limit is None else pivot_limit
+        dense = []
+        seen = set()
+        for r in rows:
+            row = self._densify(r)
+            key = tuple(_dense_content_normalize(list(row)))
+            if any(key) and key not in seen:
+                seen.add(key)
+                dense.append(list(key))
+        self._rows = []
+        self._pivots = []
+        self._pivot_of_col = {}
+        for row in sorted(dense):
+            self._insert(row)
+        self._back_substitute()
+        order = sorted(range(len(self._rows)),
+                       key=lambda idx: self._pivots[idx])
+        self._rows = [self._rows[idx] for idx in order]
+        self._pivots = [self._pivots[idx] for idx in order]
+        self._pivot_of_col = {c: i for i, c in enumerate(self._pivots)}
+
+    def _densify(self, r):
+        if isinstance(r, dict):
+            row = [0] * self.ncols
+            for c, v in r.items():
+                row[c] = int(v)
+            return row
+        return [int(v) for v in r]
+
+    def _leading(self, row, start=0):
+        for k in range(start, len(row)):
+            if row[k]:
+                return k
+        return None
+
+    def _insert(self, row):
+        j = self._leading(row)
+        while j is not None and j < self.pivot_limit:
+            idx = self._pivot_of_col.get(j)
+            if idx is None:
+                _dense_content_normalize(row, j)
+                self._pivots.append(j)
+                self._rows.append(row)
+                self._pivot_of_col[j] = len(self._rows) - 1
+                return
+            self._eliminate(row, self._rows[idx], j)
+            j = self._leading(row, j + 1)
+
+    @staticmethod
+    def _eliminate(row, piv, j):
+        L = piv[j]
+        f = row[j]
+        g = math.gcd(L, f)
+        a = L // g
+        b = f // g
+        if a == 1:
+            for k in range(j, len(row)):
+                pk = piv[k]
+                if pk:
+                    row[k] -= b * pk
+        else:
+            for k in range(j):
+                row[k] *= a
+            for k in range(j, len(row)):
+                row[k] = a * row[k] - b * piv[k]
+
+    def _back_substitute(self):
+        order = sorted(range(len(self._rows)), key=lambda i: self._pivots[i])
+        for pos in range(len(order) - 2, -1, -1):
+            idx = order[pos]
+            row = self._rows[idx]
+            for later in order[pos + 1:]:
+                j = self._pivots[later]
+                if row[j]:
+                    self._eliminate(row, self._rows[later], j)
+            _dense_content_normalize(row)
+
+    @property
+    def pivots(self):
+        return tuple(self._pivots)
+
+    @property
+    def rows(self):
+        return tuple(tuple(r) for r in self._rows)
+
+    def reduce(self, vec):
+        row = self._densify(vec)
+        alpha = 1
+        j = self._leading(row)
+        while j is not None and j < self.pivot_limit:
+            idx = self._pivot_of_col.get(j)
+            if idx is None:
+                j = self._leading(row, j + 1)
+                continue
+            piv = self._rows[idx]
+            L = piv[j]
+            f = row[j]
+            g = math.gcd(L, f)
+            a = L // g
+            b = f // g
+            if a != 1:
+                alpha *= a
+                for k in range(len(row)):
+                    row[k] *= a
+            for k in range(j, len(row)):
+                pk = piv[k]
+                if pk:
+                    row[k] -= b * pk
+            j = self._leading(row, j + 1)
+        return row, alpha
+
+
+def assert_matches_dense(rows, ncols, pivot_limit, probes):
+    sparse = RowSpace(rows, ncols, pivot_limit)
+    dense = DenseRowSpace(rows, ncols, pivot_limit)
+    assert sparse.pivots == dense.pivots
+    assert sparse.rows == dense.rows
+    for vec in probes:
+        residual, alpha = dense.reduce(vec)
+        assert sparse.reduce(vec) == (residual, alpha)
+        assert sparse.contains(vec) == (not any(residual[:dense.pivot_limit]))
+
+
+def random_probes(rng, rows, ncols, count=6):
+    """Dense and dict vectors, half of them combinations of the rows."""
+    probes = []
+    for t in range(count):
+        vec = [0] * ncols
+        if t % 2 and rows:
+            for r in rng.sample(rows, min(3, len(rows))):
+                c = rng.randint(-3, 3)
+                items = r.items() if isinstance(r, dict) else enumerate(r)
+                for k, x in items:
+                    vec[k] += c * x
+        else:
+            for k in rng.sample(range(ncols), rng.randint(1, ncols)):
+                vec[k] = rng.randint(-7, 7)
+        probes.append(vec if t % 3 else {k: x for k, x in enumerate(vec)
+                                         if x})
+    return probes
+
+
+def test_sparse_kernel_matches_dense_on_random_matrices():
+    rng = random.Random(41)
+    for _ in range(300):
+        ncols = rng.randint(1, 12)
+        limit = rng.choice([None, rng.randint(0, ncols)])
+        rows = random_matrix(rng, rng.randint(0, 10), ncols,
+                             density=rng.choice([0.15, 0.4, 0.8]),
+                             lo=-rng.choice([1, 3, 9]), hi=9)
+        rows += [[0] * ncols for _ in range(rng.randint(0, 2))]  # zero rows
+        rows += [list(r) for r in rng.sample(rows, len(rows) // 3)]
+        rows += [[2 * x for x in r] for r in rows[:1]]  # scaled duplicate
+        if limit is not None and limit < ncols:
+            for t, r in enumerate(rows):  # unit tags beyond the limit
+                r[limit + t % (ncols - limit)] += 1
+        rng.shuffle(rows)
+        rows = [{k: x for k, x in enumerate(r) if x} if rng.random() < 0.5
+                else r for r in rows]
+        assert_matches_dense(rows, ncols, limit,
+                             random_probes(rng, rows, ncols))
+
+
+def _default_slices():
+    for n, bound in ideal.DEFAULT_DEGREE_BOUND.items():
+        for d in range(2, bound + 1):
+            for family in (ideal.COMMUTATORS, ideal.DIFFERENCES):
+                yield family, n, d, False
+    for n, bound in ((3, 5), (4, 4)):  # the tagged slices member_stream builds
+        for d in range(2, bound + 1):
+            yield ideal.COMMUTATORS, n, d, True
+
+
+@pytest.mark.parametrize("family,n,degree,tagged", list(_default_slices()))
+def test_sparse_kernel_matches_dense_on_default_slices(
+        monkeypatch, family, n, degree, tagged):
+    calls = []
+
+    def recording(rows, ncols, pivot_limit=None):
+        calls.append((list(rows), ncols, pivot_limit))
+
+    monkeypatch.setattr(ideal, "RowSpace", recording)
+    ideal.DegreeSlice(ideal.generator_set(family, n), degree,
+                      with_tags=tagged)
+    (rows, ncols, limit), = calls
+    rng = random.Random(n * 100 + degree)
+    assert_matches_dense(rows, ncols, limit,
+                         random_probes(rng, rows, ncols))
