@@ -17,21 +17,6 @@ from .cyclic import CyclicShift, act, orbit
 from .ring import Monomial, ONE
 
 
-def wolf_compare(a: Monomial, b: Monomial) -> int:
-    """Three-way comparison in the graded monomial order.
-
-    Degree decides first; then exponent sequences lexicographically
-    (larger exponent earlier wins); then complexions lexicographically
-    (smaller letter earlier wins).
-    """
-    ka, kb = a.sort_key(), b.sort_key()
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 def is_orbit_max(m: Monomial, n: int) -> bool:
     """Is m the distinguished (largest) member of its cyclic orbit?"""
     if m.is_unit():
@@ -45,6 +30,8 @@ def orbit_max(m: Monomial, n: int) -> Monomial:
     if m.is_unit():
         raise ValueError("the unit monomial has no orbit representative")
     _check_letters(m, n)
+    if m.complexion[0] == 1:
+        return m
     shift = CyclicShift((1 - m.complexion[0]) % n, n)
     return act(shift, m)
 

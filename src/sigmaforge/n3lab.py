@@ -21,7 +21,7 @@ from .atoms import enumerate_atoms, factor_atoms, is_atom, orbit_max
 from .ideal import commutator_generators, degree_slice, member
 from .linalg import RowSpace
 from .ring import Monomial, ONE, Polynomial, basis_words, parse_poly, render_poly
-from .rewrite import orbit_decompose
+from .rewrite import orbit_decompose, orbit_product
 from .sigma import CommPoly, abelianize, build_sigma
 
 N = 3
@@ -46,6 +46,7 @@ def extra_symbol_poly() -> Polynomial:
     return cyclic.orbit_polynomial(Monomial((1, 2, 1), (1, 1, 1)), N)
 
 
+@lru_cache(maxsize=None)
 def _sym(i: int) -> CommPoly:
     return CommPoly.variable(i, 5)
 
@@ -281,32 +282,46 @@ def _reduce_big_atom(rep: Monomial) -> SReduced:
 
 
 def _reduce_composite(rep: Monomial) -> SReduced:
-    """Split a squareful representative along its atom factorization."""
+    """Split a squareful representative along its atom factorization:
+    the product of the atoms' orbit sums is O[rep] plus lower orbits."""
     factors = factor_atoms(rep, N)
-    prod = Polynomial.constant(1, N)
+    prod = {ONE: 1}
     sprod = SReduced.scalar(_const(1))
     for f in factors:
-        prod = prod * cyclic.orbit_polynomial(f, N)
+        prod = orbit_product(prod, f, N)
         sprod = sprod * reduce_orbit(f)
-    rest = prod - cyclic.orbit_polynomial(rep, N)
-    for other in orbit_decompose(rest):
-        # the product's largest orbit is rep itself, once
-        if not other.is_unit() and other.sort_key() >= rep.sort_key():
+    if prod.pop(rep, 0) != 1:
+        raise AssertionError("composite split lost its leading orbit")
+    top = rep.sort_key()
+    for other in prod:
+        if other.sort_key() >= top:
             raise AssertionError("composite split failed to decrease")
-    return sprod - reduce_invariant(rest)
+    return sprod - _reduce_orbits(prod)
+
+
+def _reduce_orbits(orbits: dict) -> SReduced:
+    """Canonical form of a {representative: coeff} combination."""
+    total = SReduced.zero()
+    for rep, coeff in orbits.items():
+        if rep.is_unit():
+            total = total + SReduced.scalar(_const(coeff))
+        else:
+            total = total + reduce_orbit(rep).scale(coeff)
+    return total
 
 
 def reduce_invariant(p: Polynomial) -> SReduced:
     """Canonical form of any invariant polynomial (arity 3)."""
     if p.arity != N:
         raise ValueError("expected an arity-3 polynomial")
-    total = SReduced.zero()
-    for rep, coeff in orbit_decompose(p).items():
-        if rep.is_unit():
-            total = total + SReduced.scalar(_const(coeff))
-        else:
-            total = total + reduce_orbit(rep).scale(coeff)
-    return total
+    return _reduce_orbits(orbit_decompose(p))
+
+
+def clear_caches():
+    """Empty the orbit-sum cache and every cached table and symbol."""
+    _S_CACHE.clear()
+    for cached in (d_square_rewrite, _symbol_polys, base_table, _sym):
+        cached.cache_clear()
 
 
 def reduce_to_S_form(p: Polynomial, certify=False,

@@ -140,39 +140,65 @@ def orbit_decompose(p: Polynomial) -> dict:
         seen.setdefault(rep, []).append((m, c))
     for rep, members in seen.items():
         coeffs = {c for _, c in members}
-        if len(members) != len(cyclic.orbit(rep, n)) or len(coeffs) != 1:
+        if len(members) != n or len(coeffs) != 1:
             raise ValueError(
                 "polynomial is not invariant under the cyclic shift")
         out[rep] = coeffs.pop()
     return out
 
 
+def orbit_product(orbits: dict, b: Monomial, n: int) -> dict:
+    """Multiply {orbit representative: coeff} by the orbit sum O[b].
+
+    Every nonunit orbit has exactly n members, so O[a]*O[b] is the sum
+    over r < n of O[a * g^r(b)], g the shift.  A representative a
+    starts with letter 1, so every a * g^r(b) is one too, and no two of
+    these words coincide.  The unit key maps to O[b].
+    """
+    images = cyclic.orbit(b, n)
+    out = {}
+    for a, c in orbits.items():
+        if a.is_unit():
+            out[orbit_max(b, n)] = c
+        elif a.complexion[0] == 1:
+            out.update((a * u, c) for u in images)
+        else:
+            raise ValueError(f"{a!r} is not an orbit representative")
+    return out
+
+
 def rewrite_invariant(p: Polynomial) -> AtomExpression:
-    """Greedy expansion of an invariant polynomial over atom orbit sums."""
+    """Greedy expansion of an invariant polynomial over atom orbit sums.
+
+    The remainder stays a {representative: coeff} map; peeling its
+    largest orbit subtracts the closed-form product of the atoms' orbit
+    sums, whose largest orbit is the peeled one, with coefficient 1.
+    """
     n = p.arity
     if n < 2:
         raise ValueError("rewriting needs at least two letters")
-    orbit_decompose(p)  # invariance gate
-    expr = AtomExpression.zero(n)
-    r = p
+    r = orbit_decompose(p)  # invariance gate
+    terms = {}
     guard = None
-    while not r.is_zero():
-        lead = max(r.terms, key=lambda m: m.sort_key())
-        if lead.is_unit():
-            expr = expr.add_term((), r.terms[lead])
-            r = r - Polynomial.constant(r.terms[lead], n)
-            continue
-        if guard is not None and lead.sort_key() >= guard:
+    while r:
+        lead = max(r, key=Monomial.sort_key)
+        key = lead.sort_key()
+        if guard is not None and key >= guard:
             raise AssertionError("leading monomial failed to decrease")
-        guard = lead.sort_key()
-        coeff = r.terms[lead]
-        factors = factor_atoms(lead, n)
-        prod = Polynomial.constant(1, n)
+        guard = key
+        coeff = r[lead]
+        factors = tuple(factor_atoms(lead, n))
+        terms[factors] = coeff
+        prod = {ONE: 1}
         for f in factors:
-            prod = prod * cyclic.orbit_polynomial(f, n)
-        expr = expr.add_term(tuple(factors), coeff)
-        r = r - prod * coeff
-    return expr
+            prod = orbit_product(prod, f, n)
+        for rep, c in prod.items():
+            left = r.get(rep, 0) - coeff * c
+            if left:
+                r[rep] = left
+            else:
+                del r[rep]
+    return AtomExpression(terms, n)
 
 
 def sigma_alpha_decomposition(n: int, k: int) -> dict:

@@ -91,6 +91,17 @@ class CommPoly:
         object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v})
         object.__setattr__(self, "arity", arity)
 
+    @classmethod
+    def _trusted(cls, terms: dict, arity: int) -> "CommPoly":
+        """Wrap the terms of CommPoly arithmetic: the keys are valid
+        exponent vectors and the values exact Fractions already, so
+        only the zeros are dropped."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", {ev: c for ev, c in terms.items()
+                                          if c})
+        object.__setattr__(out, "arity", arity)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("CommPoly is immutable")
 
@@ -123,13 +134,14 @@ class CommPoly:
         self._check(other)
         terms = dict(self.terms)
         for ev, c in other.terms.items():
-            terms[ev] = terms.get(ev, Fraction(0)) + c
-        return CommPoly(terms, self.arity)
+            terms[ev] = terms.get(ev, 0) + c
+        return CommPoly._trusted(terms, self.arity)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CommPoly({ev: -c for ev, c in self.terms.items()}, self.arity)
+        return CommPoly._trusted({ev: -c for ev, c in self.terms.items()},
+                                 self.arity)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -140,9 +152,8 @@ class CommPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return CommPoly({ev: v * c for ev, v in self.terms.items()},
-                            self.arity)
+            return CommPoly._trusted(
+                {ev: v * other for ev, v in self.terms.items()}, self.arity)
         if not isinstance(other, CommPoly):
             return NotImplemented
         self._check(other)
@@ -150,8 +161,8 @@ class CommPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 ev = tuple(a + b for a, b in zip(e1, e2))
-                terms[ev] = terms.get(ev, Fraction(0)) + c1 * c2
-        return CommPoly(terms, self.arity)
+                terms[ev] = terms.get(ev, 0) + c1 * c2
+        return CommPoly._trusted(terms, self.arity)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -17,7 +17,6 @@ from sigmaforge.atoms import (
     factor_atoms,
     orbit_max,
     semigroup_product,
-    wolf_compare,
 )
 from sigmaforge.ring import Monomial, Polynomial, basis_words, parse_poly
 from sigmaforge.sigma import (
@@ -159,12 +158,12 @@ def test_08_atoms_factorization_and_order():
         pool += [_random_word(rng, 4, max_degree=6) for _ in range(60)]
         for _ in range(10_000):
             a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-            ab, bc, ac = wolf_compare(a, b), wolf_compare(b, c), wolf_compare(a, c)
-            assert ab in (-1, 0, 1)
-            assert (ab == 0) == (a == b)
-            assert wolf_compare(b, a) == -ab
-            if ab <= 0 and bc <= 0:
-                assert ac <= 0
+            ka, kb, kc = a.sort_key(), b.sort_key(), c.sort_key()
+            assert [ka < kb, ka == kb, ka > kb].count(True) == 1
+            assert (ka == kb) == (a == b)
+            assert (ka < kb) == (kb > ka) == (a < b)
+            if ka <= kb and kb <= kc:
+                assert ka <= kc
 
 
 def test_09_rewriter_worked_examples_and_roundtrip():

@@ -13,7 +13,6 @@ from sigmaforge.atoms import (
     orbit_max,
     semigroup_mul,
     semigroup_product,
-    wolf_compare,
 )
 from sigmaforge.cyclic import orbit
 from sigmaforge.ring import Monomial, ONE, parse_monomial
@@ -94,34 +93,35 @@ def test_enumerate_atoms_order():
     assert [a.complexion for a in atoms] == [
         (1, 2, 1), (1, 2, 3), (1, 3, 1), (1, 3, 2)]
     for earlier, later in zip(atoms, atoms[1:]):
-        assert wolf_compare(earlier, later) == 1
+        assert earlier.sort_key() > later.sort_key()
     assert [a.complexion for a in enumerate_atoms(3, 1)] == [(1,)]
     assert [a.complexion for a in enumerate_atoms(3, 2)] == [(1, 2), (1, 3)]
 
 
-def test_wolf_compare_matches_operator_order():
+def test_sort_key_matches_operator_order():
     rng = random.Random(9)
     pool = [random_monomial(rng, 3) for _ in range(40)] + [ONE]
     for a in pool:
         for b in pool:
-            c = wolf_compare(a, b)
-            assert c == ((a > b) - (a < b))
+            ka, kb = a.sort_key(), b.sort_key()
+            assert (a > b) == (ka > kb)
+            assert (a < b) == (ka < kb)
+            assert (a >= b) == (ka >= kb)
+            assert (a <= b) == (ka <= kb)
 
 
-def test_wolf_compare_trichotomy_and_transitivity():
+def test_sort_key_trichotomy_and_transitivity():
     rng = random.Random(10)
     pool = [random_monomial(rng, 4) for _ in range(80)]
     for _ in range(2000):
         a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-        ab, bc, ac = wolf_compare(a, b), wolf_compare(b, c), wolf_compare(a, c)
-        assert ab in (-1, 0, 1)
-        assert ab == -wolf_compare(b, a)
-        if ab == 0:
-            assert a.sort_key() == b.sort_key()
-        if ab <= 0 and bc <= 0:
-            assert ac <= 0
-        if ab >= 0 and bc >= 0:
-            assert ac >= 0
+        ka, kb, kc = a.sort_key(), b.sort_key(), c.sort_key()
+        assert [ka < kb, ka == kb, ka > kb].count(True) == 1
+        assert (ka < kb) == (kb > ka)
+        if ka <= kb and kb <= kc:
+            assert ka <= kc
+        if ka >= kb and kb >= kc:
+            assert ka >= kc
 
 
 def test_semigroup_mul_basics():

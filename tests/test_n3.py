@@ -195,6 +195,20 @@ def test_degree_guard_refuses_before_reducing(monkeypatch):
         reduce_to_S_form(parse_poly("x1^7 + x2^7 + x3^7", 3), certify=True)
 
 
+def test_clear_caches_gives_equal_reductions():
+    reps = [om("x1^2*x2*x1*x3"), om("x1*x2*x1*x3*x2"), om("x1^3*x2^2"),
+            om("x1*x3*x1*x3*x2*x1")]
+    inv = cyclic.orbit_polynomial(om("x1^2*x3^3"), 3) * Fraction(3, 2) + 1
+    before = [reduce_orbit(r) for r in reps] + [reduce_invariant(inv)]
+    n3lab.clear_caches()
+    assert n3lab._S_CACHE == {}
+    for cached in (n3lab.d_square_rewrite, n3lab._symbol_polys,
+                   base_table, n3lab._sym):
+        assert cached.cache_info().currsize == 0
+    after = [reduce_orbit(r) for r in reps] + [reduce_invariant(inv)]
+    assert after == before
+
+
 def test_sreduced_render():
     sr = SReduced(sym(2), -sym(1), 3)
     text = sr.render()
