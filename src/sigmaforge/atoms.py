@@ -67,6 +67,11 @@ def enumerate_atoms(n: int, degree: int) -> tuple:
     return tuple(Monomial(tuple(w), (1,) * degree) for w in words)
 
 
+def clear_caches():
+    """Drop the cached atom lists."""
+    enumerate_atoms.cache_clear()
+
+
 def semigroup_mul(u: Monomial, v: Monomial, n: int) -> Monomial:
     """Twisted product of orbit representatives.
 

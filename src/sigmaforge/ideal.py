@@ -108,7 +108,23 @@ def _integerized(p: Polynomial):
     """(scale, {monomial: int}) with scale*p integer, scale > 0."""
     scale = math.lcm(*(c.denominator for c in p.terms.values())) \
         if p.terms else 1
-    return scale, {m: int(c * scale) for m, c in p.terms.items()}
+    return scale, {m: c.numerator * (scale // c.denominator)
+                   for m, c in p.terms.items()}
+
+
+def _word_codes(words, n: int) -> list:
+    """Base-n code of each word: letters 1..n are the digits 0..n-1,
+    the first letter the most significant.  Words of one degree get
+    distinct codes, and code(u*m*v) = (code(u)*n^|m| + code(m))*n^|v|
+    + code(v)."""
+    out = []
+    for w in words:
+        code = 0
+        for i, e in zip(w.complexion, w.exponents):
+            for _ in range(e):
+                code = code * n + i - 1
+        out.append(code)
+    return out
 
 
 class DegreeSlice:
@@ -122,6 +138,13 @@ class DegreeSlice:
         self.degree = degree
         self.basis = basis_words(n, degree)
         self.index = {m: j for j, m in enumerate(self.basis)}
+        # the row of u*g*v has an entry c at the column of u*m*v for
+        # every term c*m of g; that column is read off the word's code
+        codes = [_word_codes(basis_words(n, k), n)
+                 for k in range(degree + 1)]
+        col_of_code = [0] * len(self.basis)
+        for j, code in zip(self.index.values(), codes[degree]):
+            col_of_code[code] = j
         rows = []
         meta = []
         for gi, g in enumerate(gset.gens):
@@ -130,27 +153,27 @@ class DegreeSlice:
             if rest < 0:
                 continue
             _, gvec = _integerized(g)
+            gterms = tuple(zip(_word_codes(gvec, n), gvec.values()))
             for r in range(rest + 1):
-                for u in basis_words(n, r):
-                    for v in basis_words(n, rest - r):
-                        row = {}
-                        for m, c in gvec.items():
-                            col = self.index[u * m * v]
-                            row[col] = row.get(col, 0) + c
-                        row = {c: x for c, x in row.items() if x}
-                        if row:
-                            rows.append(row)
+                s = rest - r
+                vshift = n ** s
+                ushift = vshift * n ** e
+                vs = tuple(zip(basis_words(n, s), codes[s]))
+                for u, cu in zip(basis_words(n, r), codes[r]):
+                    ubase = cu * ushift
+                    for v, cv in vs:
+                        base = ubase + cv
+                        rows.append({col_of_code[base + cm * vshift]: c
+                                     for cm, c in gterms})
+                        if with_tags:
                             meta.append((u, gi, v))
         ncols = len(self.basis)
         if with_tags:
             # one tag column per spanning row; tags never become pivots
             self.row_meta = tuple(meta)
-            tagged = []
             for t, row in enumerate(rows):
-                row = dict(row)
                 row[ncols + t] = 1
-                tagged.append(row)
-            self.space = RowSpace(tagged, ncols + len(rows),
+            self.space = RowSpace(rows, ncols + len(rows),
                                   pivot_limit=ncols)
         else:
             self.row_meta = None
@@ -206,7 +229,7 @@ class DegreeSlice:
             return Polynomial.zero(self.n)
         if lead < 0:
             g = -g
-        return Polynomial(
+        return Polynomial._trusted(
             {self.basis[j]: Fraction(x, g) for j, x in enumerate(row) if x},
             self.n)
 

@@ -96,7 +96,7 @@ class SReduced:
     def __init__(self, z0, z1, z2):
         parts = []
         for z in (z0, z1, z2):
-            if isinstance(z, (int, Fraction)):
+            if not isinstance(z, CommPoly) and isinstance(z, (int, Fraction)):
                 z = _const(z)
             if not isinstance(z, CommPoly) or z.arity != 5:
                 raise ValueError("entries must be 5-symbol CommPoly values")
@@ -135,11 +135,11 @@ class SReduced:
         return SReduced(*(z * c for z in self.parts))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, CommPoly):
-            return SReduced(*(z * other for z in self.parts))
         if not isinstance(other, SReduced):
+            if isinstance(other, CommPoly):
+                return SReduced(*(z * other for z in self.parts))
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
         z0, z1, z2 = self.parts
         w0, w1, w2 = other.parts

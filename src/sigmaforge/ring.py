@@ -17,7 +17,7 @@ from functools import lru_cache
 class Monomial:
     """Immutable word in the generators, run-length encoded."""
 
-    __slots__ = ("complexion", "exponents", "_hash")
+    __slots__ = ("complexion", "exponents")
 
     def __init__(self, complexion=(), exponents=()):
         complexion = tuple(complexion)
@@ -35,7 +35,15 @@ class Monomial:
                 raise ValueError(f"bad exponent {e!r}")
         object.__setattr__(self, "complexion", complexion)
         object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "_hash", hash((complexion, exponents)))
+
+    @classmethod
+    def _trusted(cls, complexion: tuple, exponents: tuple) -> "Monomial":
+        """Wrap a product of valid monomials: the run-length word is
+        valid already, so nothing is checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "complexion", complexion)
+        object.__setattr__(out, "exponents", exponents)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -84,7 +92,7 @@ class Monomial:
         else:
             comp = self.complexion + other.complexion
             exps = self.exponents + other.exponents
-        return Monomial(comp, exps)
+        return Monomial._trusted(comp, exps)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -102,7 +110,8 @@ class Monomial:
                 and self.exponents == other.exponents)
 
     def __hash__(self):
-        return self._hash
+        # not stored: a stored hash is a 36-byte int per live monomial
+        return hash((self.complexion, self.exponents))
 
     def sort_key(self):
         """Key whose natural order is the monomial order used everywhere.
@@ -163,6 +172,19 @@ class Polynomial:
                 clean[m] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "arity", arity)
+
+    @classmethod
+    def _trusted(cls, terms: dict, arity: int) -> "Polynomial":
+        """Wrap the terms of Polynomial arithmetic: the keys are valid
+        monomials within the arity and the values exact Fractions
+        already, so only the zeros are dropped.  Takes ownership of
+        ``terms``, a dict no one else holds."""
+        for m in [m for m, c in terms.items() if not c]:
+            del terms[m]
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "arity", arity)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -226,7 +248,8 @@ class Polynomial:
         out = {}
         for m, c in self.terms.items():
             out.setdefault(m.degree, {})[m] = c
-        return {d: Polynomial(t, self.arity) for d, t in sorted(out.items())}
+        return {d: Polynomial._trusted(t, self.arity)
+                for d, t in sorted(out.items())}
 
     # -- arithmetic --------------------------------------------------
 
@@ -235,45 +258,51 @@ class Polynomial:
             raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.arity)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.constant(other, self.arity)
         self._check(other)
         terms = dict(self.terms)
+        get = terms.get
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Polynomial(terms, self.arity)
+            x = get(m)
+            terms[m] = c if x is None else x + c
+        return Polynomial._trusted(terms, self.arity)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()}, self.arity)
+        return Polynomial._trusted({m: -c for m, c in self.terms.items()},
+                                   self.arity)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.arity)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.constant(other, self.arity)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Polynomial({m: v * c for m, v in self.terms.items()},
-                              self.arity)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            c = Fraction(other)
+            return Polynomial._trusted(
+                {m: v * c for m, v in self.terms.items()}, self.arity)
         self._check(other)
         terms = {}
+        get = terms.get
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            for m2, c2 in right:
                 m = m1 * m2
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(terms, self.arity)
+                x = get(m)
+                terms[m] = c1 * c2 if x is None else x + c1 * c2
+        return Polynomial._trusted(terms, self.arity)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -294,11 +323,11 @@ class Polynomial:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = Polynomial.constant(other, self.arity)
-        return (isinstance(other, Polynomial)
-                and self.arity == other.arity
-                and self.terms == other.terms)
+        return self.arity == other.arity and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.arity, frozenset(self.terms.items())))
@@ -330,6 +359,11 @@ def basis_words(n: int, d: int) -> tuple:
              for w in itertools.product(range(1, n + 1), repeat=d)]
     words.sort(key=Monomial.sort_key, reverse=True)
     return tuple(words)
+
+
+def clear_caches():
+    """Drop the cached word bases."""
+    basis_words.cache_clear()
 
 
 # -- text format ----------------------------------------------------

@@ -42,6 +42,11 @@ def build_sigma(n: int, k: int) -> Polynomial:
     return sigma_on(range(1, n + 1), k, n)
 
 
+def clear_caches():
+    """Drop the cached elementary polynomials."""
+    build_sigma.cache_clear()
+
+
 def sigma_via_recursion_first(letters, k: int, n: int) -> Polynomial:
     """Peel the first generator: s_k(L) = L0 * s_{k-1}(L') + s_k(L')."""
     letters = tuple(letters)
@@ -127,10 +132,10 @@ class CommPoly:
             raise ValueError("arity mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CommPoly({(0,) * self.arity: other}, self.arity)
         if not isinstance(other, CommPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CommPoly({(0,) * self.arity: other}, self.arity)
         self._check(other)
         terms = dict(self.terms)
         for ev, c in other.terms.items():
@@ -144,18 +149,18 @@ class CommPoly:
                                  self.arity)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CommPoly({(0,) * self.arity: other}, self.arity)
         if not isinstance(other, CommPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CommPoly({(0,) * self.arity: other}, self.arity)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CommPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             return CommPoly._trusted(
                 {ev: v * other for ev, v in self.terms.items()}, self.arity)
-        if not isinstance(other, CommPoly):
-            return NotImplemented
         self._check(other)
         terms = {}
         for e1, c1 in self.terms.items():
