@@ -5,12 +5,16 @@ the degree-d piece of the ideal generated by homogeneous polynomials
 g is spanned by the vectors u*g*v over word pairs (u, v), expressed in
 the fixed degree-d word basis (decreasing monomial order).  Canonical
 echelon forms make span comparison, membership, residual witnesses and
-explicit combination certificates deterministic.
+explicit combination certificates deterministic.  There is one slice per
+family and degree: certificates are read off the elimination records of
+its ``RowSpace``, and each is rebuilt in the free ring before it is
+returned.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -97,9 +101,11 @@ def difference_generators(n: int) -> GeneratorSet:
 
 
 def generator_set(name: str, n: int) -> GeneratorSet:
+    """The family by name: its own name, or the CLI's ``commutators`` /
+    ``differences``, or the short ``comm`` / ``diff``."""
     if name in (COMMUTATORS, "comm"):
         return commutator_generators(n)
-    if name in (DIFFERENCES, "diff"):
+    if name in (DIFFERENCES, "differences", "diff"):
         return difference_generators(n)
     raise ValueError(f"unknown generator set {name!r}")
 
@@ -128,16 +134,22 @@ def _word_codes(words, n: int) -> list:
 
 
 class DegreeSlice:
-    """Echelonized degree-d slice of an ideal's span."""
+    """Echelonized degree-d slice of an ideal's span.
 
-    __slots__ = ("gset", "degree", "basis", "index", "space", "row_meta")
+    Spanning row t is u*g*v for one generator g and words u, v;
+    ``row_source(t)`` decodes t into (u, generator index, v).
+    """
 
-    def __init__(self, gset: GeneratorSet, degree: int, with_tags=False):
+    __slots__ = ("gset", "degree", "basis", "index", "space", "_gens",
+                 "_starts", "_blocks")
+
+    def __init__(self, gset: GeneratorSet, degree: int):
         n = gset.n
         self.gset = gset
         self.degree = degree
         self.basis = basis_words(n, degree)
         self.index = {m: j for j, m in enumerate(self.basis)}
+        self._gens = tuple(_integerized(g) for g in gset.gens)
         # the row of u*g*v has an entry c at the column of u*m*v for
         # every term c*m of g; that column is read off the word's code
         codes = [_word_codes(basis_words(n, k), n)
@@ -146,38 +158,33 @@ class DegreeSlice:
         for j, code in zip(self.index.values(), codes[degree]):
             col_of_code[code] = j
         rows = []
-        meta = []
+        starts = []
+        blocks = []
         for gi, g in enumerate(gset.gens):
             e = g.degree()
             rest = degree - e
             if rest < 0:
                 continue
-            _, gvec = _integerized(g)
+            # rows of g: for each split rest = r + s, every u of degree r
+            # with every v of degree s, so each r holds n**rest rows
+            starts.append(len(rows))
+            blocks.append((gi, rest))
+            gvec = self._gens[gi][1]
             gterms = tuple(zip(_word_codes(gvec, n), gvec.values()))
             for r in range(rest + 1):
                 s = rest - r
                 vshift = n ** s
                 ushift = vshift * n ** e
-                vs = tuple(zip(basis_words(n, s), codes[s]))
-                for u, cu in zip(basis_words(n, r), codes[r]):
+                vcodes = codes[s]
+                for cu in codes[r]:
                     ubase = cu * ushift
-                    for v, cv in vs:
+                    for cv in vcodes:
                         base = ubase + cv
                         rows.append({col_of_code[base + cm * vshift]: c
                                      for cm, c in gterms})
-                        if with_tags:
-                            meta.append((u, gi, v))
-        ncols = len(self.basis)
-        if with_tags:
-            # one tag column per spanning row; tags never become pivots
-            self.row_meta = tuple(meta)
-            for t, row in enumerate(rows):
-                row[ncols + t] = 1
-            self.space = RowSpace(rows, ncols + len(rows),
-                                  pivot_limit=ncols)
-        else:
-            self.row_meta = None
-            self.space = RowSpace(rows, ncols)
+        self._starts = tuple(starts)
+        self._blocks = tuple(blocks)
+        self.space = RowSpace(rows, len(self.basis))
 
     @property
     def n(self) -> int:
@@ -190,6 +197,19 @@ class DegreeSlice:
     @property
     def quotient_dim(self) -> int:
         return len(self.basis) - self.rank
+
+    def row_source(self, t: int):
+        """(u, gi, v) of spanning row t, the row of u*gens[gi]*v."""
+        k = bisect_right(self._starts, t) - 1
+        if k < 0 or t < 0:
+            raise IndexError("spanning row index out of range")
+        gi, rest = self._blocks[k]
+        r, rem = divmod(t - self._starts[k], self.n ** rest)
+        if r > rest:
+            raise IndexError("spanning row index out of range")
+        ui, vi = divmod(rem, self.n ** (rest - r))
+        return (basis_words(self.n, r)[ui], gi,
+                basis_words(self.n, rest - r)[vi])
 
     def terms_of(self, p: Polynomial):
         """(scale, {column: int}) for a homogeneous-of-this-degree p."""
@@ -210,14 +230,11 @@ class DegreeSlice:
         return scale, vec
 
     def contains(self, p: Polynomial) -> bool:
-        # tag columns only track combinations; membership lives in the
-        # real columns, which end at the space's pivot limit
         return self.space.contains(self.terms_of(p)[1])
 
     def residual(self, p: Polynomial) -> Polynomial:
         """Normalized residual of p modulo the slice; zero iff member."""
         row, _ = self.space.reduce(self.terms_of(p)[1])
-        row = row[:len(self.basis)]
         g = 0
         lead = 0
         for x in row:
@@ -234,23 +251,35 @@ class DegreeSlice:
             self.n)
 
     def certificate_for(self, p: Polynomial):
-        """Explicit combination sum c*(u*g*v) equal to p, or None.
+        """Explicit combination [(c, u, gi, v)] with sum c*(u*g*v) = p,
+        where g = gens[gi]; None when p is not in the slice.
 
-        Requires the slice to be built with tags.
+        ``RowSpace.combination`` gives den*scale*p = sum k*(u*G*v) over
+        spanning rows, G = gscale*g the integerized generator, so each
+        coefficient is c = k*gscale/(den*scale).  The certificate is
+        rebuilt in integers in the free ring, with monomial products and
+        not with the word codes the rows were built from, and compared
+        with den*scale*p before it is returned.
         """
-        if self.row_meta is None:
-            raise ValueError("slice was built without combination tags")
         scale, terms = self.terms_of(p)
-        ncols = len(self.basis)
-        row, alpha = self.space.reduce(terms)
-        if any(row[:ncols]):
+        got = self.space.combination(terms)
+        if got is None:
             return None
-        denom = alpha * scale
+        den, ks = got
+        denom = den * scale
+        recon = {}
         cert = []
-        for t, tag in enumerate(row[ncols:]):
-            if tag:
-                u, gi, v = self.row_meta[t]
-                cert.append((Fraction(-tag, denom), u, gi, v))
+        for t, k in sorted(ks.items()):
+            u, gi, v = self.row_source(t)
+            gscale, gvec = self._gens[gi]
+            for m, c in gvec.items():
+                w = u * m * v
+                recon[w] = recon.get(w, 0) + k * c
+            cert.append((Fraction(k * gscale, denom), u, gi, v))
+        want = {m: c.numerator * (denom // c.denominator)
+                for m, c in p.terms.items()}
+        if {w: x for w, x in recon.items() if x} != want:
+            raise AssertionError("certificate failed reconstruction")
         return cert
 
 
@@ -267,10 +296,13 @@ def clear_caches():
 
 def degree_slice(gset: GeneratorSet, degree: int,
                  with_tags=False) -> DegreeSlice:
-    key = (gset.cache_key(), degree, bool(with_tags))
+    """The cached slice of a family in one degree.  ``with_tags`` is
+    accepted for compatibility and changes nothing: every slice gives
+    certificates."""
+    key = (gset.cache_key(), degree)
     got = _slice_cache.get(key)
     if got is None:
-        got = DegreeSlice(gset, degree, with_tags=with_tags)
+        got = DegreeSlice(gset, degree)
         _slice_cache[key] = got
     return got
 
@@ -311,25 +343,15 @@ def member(p: Polynomial, gset: GeneratorSet, certify=False) -> MemberResult:
     residuals = {}
     certificate = [] if certify else None
     for d, comp in p.homogeneous_components().items():
-        sl = degree_slice(gset, d, with_tags=certify)
+        sl = degree_slice(gset, d)
         if certify:
             cert = sl.certificate_for(comp)
-            if cert is None:
-                residuals[d] = degree_slice(gset, d).residual(comp)
-            else:
-                recon = Polynomial.zero(gset.n)
-                for coeff, u, gi, v in cert:
-                    recon = recon + (
-                        Polynomial.from_monomial(u, gset.n)
-                        * gset.gens[gi]
-                        * Polynomial.from_monomial(v, gset.n)) * coeff
-                if recon != comp:
-                    raise AssertionError("certificate failed reconstruction")
+            if cert is not None:
                 certificate.extend(cert)
-        else:
-            r = sl.residual(comp)
-            if not r.is_zero():
-                residuals[d] = r
+                continue
+        r = sl.residual(comp)
+        if not r.is_zero():
+            residuals[d] = r
     ok = not residuals
     return MemberResult(ok, residuals, certificate if ok and certify else None)
 
@@ -385,11 +407,6 @@ def diagonal_commutator_expansion(n: int, k: int):
     raise AssertionError(f"no certified expansion for k={k}, n={n}")
 
 
-def expand_diagonal_commutator(n: int, k: int) -> Polynomial:
-    expr, _ = diagonal_commutator_expansion(n, k)
-    return expr
-
-
 def _canonical_quadratic_basis(n: int):
     basis = []
     for i in range(1, n + 1):
@@ -406,21 +423,21 @@ def _canonical_quadratic_basis(n: int):
 
 @lru_cache(maxsize=None)
 def _canonical_quadratic_space(n: int):
+    """The degree-2 slice and the space spanned by the canonical basis
+    (rows 0..nb-1) and the slice's canonical rows, which together span
+    every quadratic exactly once."""
     sl = degree_slice(commutator_generators(n), 2)
     labels = []
     rows = []
-    nb = len(_canonical_quadratic_basis(n))
-    ncols = len(sl.basis)
-    for t, (label, poly) in enumerate(_canonical_quadratic_basis(n)):
+    for label, poly in _canonical_quadratic_basis(n):
         labels.append(label)
-        scale, vec = sl.vector_of(poly)
+        scale, terms = sl.terms_of(poly)
         if scale != 1:
             raise AssertionError("canonical quadratic basis is not integral")
-        rows.append(vec + [1 if j == t else 0 for j in range(nb)])
-    for row in sl.space.rows:
-        rows.append(list(row) + [0] * nb)
-    space = RowSpace(rows, ncols + nb, pivot_limit=ncols)
-    if space.rank != sl.rank + nb or ncols != sl.rank + nb:
+        rows.append(terms)
+    rows.extend(sl.space.rows)
+    space = RowSpace(rows, len(sl.basis))
+    if space.rank != len(rows) or space.rank != len(sl.basis):
         raise AssertionError(
             "canonical quadratic basis is not a quotient basis")
     return sl, space, labels
@@ -436,15 +453,14 @@ def canonical_quadratic(p: Polynomial) -> dict:
         raise ValueError("expected a homogeneous quadratic")
     sl, space, labels = _canonical_quadratic_space(n)
     scale, terms = sl.terms_of(p)
-    row, alpha = space.reduce(terms)
-    if any(row[:len(sl.basis)]):
+    got = space.combination(terms)
+    if got is None:
         raise AssertionError("quadratic failed to reduce; basis incomplete")
-    denom = alpha * scale
+    den, ks = got
     out = {"squares": {}, "products": {}, "commutators": {}}
     for t, label in enumerate(labels):
-        c = Fraction(-row[len(sl.basis) + t], denom)
-        if c:
-            out[label[0]][label[1]] = c
+        if ks.get(t):
+            out[label[0]][label[1]] = Fraction(ks[t], den * scale)
     return out
 
 

@@ -499,10 +499,12 @@ def _check_central_quadratics():
     sl3 = degree_slice(gset, 3)
     words = basis_words(N, 2)
     nw = len(words)
-    # row t is [residuals of [x_i, w_t] modulo the degree-3 slice | tag
-    # e_t]; one common scale keeps every row proportional to its exact
-    # rational value, so rows pivoting in the tag block carry a basis of
-    # the kernel there
+    # row t is [residuals of [x_i, w_t] modulo the degree-3 slice | unit
+    # vector e_t]; one common scale keeps every row proportional to its
+    # exact rational value, so rows pivoting in the unit block carry a
+    # basis of the kernel there (a kernel is a relation among the rows,
+    # which RowSpace.combination, a combination for one vector of the
+    # span, does not give)
     blocks = []
     for w in words:
         p = Polynomial.from_monomial(w, N)

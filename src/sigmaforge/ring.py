@@ -228,9 +228,6 @@ class Polynomial:
             return None
         return max(m.degree for m in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(ONE, Fraction(0))
-
     def coefficient(self, m: Monomial) -> Fraction:
         return self.terms.get(m, Fraction(0))
 

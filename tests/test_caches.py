@@ -47,6 +47,8 @@ def test_clear_caches_empties_every_cache_and_rebuilds_equal_values():
             "sigmaforge.ideal.commutator_generators",
             "sigmaforge.n3lab._sym"} <= set(caches)
     slices, reductions, words = fill()
+    # one slice per family and degree, whatever with_tags says
+    assert slices[1] is ideal.degree_slice(ideal.commutator_generators(3), 3)
     assert all(cached.cache_info().currsize for cached in caches.values())
     assert ideal._slice_cache and n3lab._S_CACHE
 
@@ -62,6 +64,6 @@ def test_clear_caches_empties_every_cache_and_rebuilds_equal_values():
         assert new.space == old.space
         assert new.space.rows == old.space.rows
         assert new.basis == old.basis
-        assert new.row_meta == old.row_meta
+        assert new.space._records == old.space._records
     assert new_reductions == reductions
     assert new_words == words

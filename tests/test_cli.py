@@ -74,6 +74,21 @@ def test_member_pass_and_fail(capsys):
     assert "residual" in out
 
 
+def test_member_accepts_both_families(capsys):
+    # by Theorem 1.1 both families span the same ideal, so every unit,
+    # residual witnesses included, is the same for either choice
+    for poly, want in (("x1*x2*x3 - x2*x3*x1", 0),
+                       ("x1*x2 - x2*x1 + x1^2*x3*x2 - x3*x2*x1^2", 1)):
+        for output in ("text", "json"):
+            outs = {}
+            for gens in ("commutators", "differences"):
+                code, out, err = run(capsys, "member", poly, "--n", "3",
+                                     "--gens", gens, "--output", output)
+                assert (code, err) == (want, ""), gens
+                outs[gens] = out
+            assert outs["differences"] == outs["commutators"]
+
+
 def test_member_json_schema(capsys):
     code, out, _ = run(capsys, "member", "x1*x2 - x2*x1", "--n", "3",
                        "--output", "json")

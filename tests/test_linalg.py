@@ -6,6 +6,7 @@ import pytest
 
 from sigmaforge import ideal
 from sigmaforge.linalg import RowSpace, rank_of
+from sigmaforge.ring import Polynomial
 
 
 def naive_rref(rows, ncols):
@@ -125,23 +126,81 @@ class TestReduce:
         assert space.contains(diff)
         assert residual[0] == 0  # pivot column cleared
 
-    def test_tag_columns_solve_small_system(self):
-        # rows: [vector | unit tag]; pivot_limit hides tags from pivoting
+    def test_combination_solves_small_system(self):
         vecs = [[1, 0, 1], [0, 2, 1]]
-        rows = []
-        for i, v in enumerate(vecs):
-            rows.append(v + [1 if j == i else 0 for j in range(2)])
-        space = RowSpace(rows, 5, pivot_limit=3)
+        space = RowSpace(vecs, 3)
         target = [3, -2, 2]  # 3*v0 - 1*v1
-        residual, alpha = space.reduce(target + [0, 0])
-        assert not any(residual[:3])
-        coeffs = [Fraction(-residual[3 + i], alpha) for i in range(2)]
-        assert coeffs == [Fraction(3), Fraction(-1)]
+        den, ks = space.combination(target)
+        assert {i: Fraction(k, den) for i, k in ks.items()} == \
+            {0: Fraction(3), 1: Fraction(-1)}
 
-    def test_tag_only_rows_dropped(self):
-        rows = [[0, 0, 1], [0, 0, 4]]
-        space = RowSpace(rows, 3, pivot_limit=2)
-        assert space.rank == 0
+    def test_combination_none_for_nonmembers(self):
+        space = RowSpace([[0, 0, 1], [0, 0, 4], [0, 0, 0]], 3)
+        # the zero row and the duplicate record nothing
+        assert space.rank == len(space._records) == 1
+        assert space.combination([0, 1, 0]) is None
+        assert space.combination({0: 2, 2: 1}) is None
+        assert RowSpace([], 3).combination([0, 0, 1]) is None
+        # the zero vector is the empty combination of any row set
+        assert space.combination([0, 0, 0]) == (1, {})
+        assert RowSpace([], 3).combination({}) == (1, {})
+
+
+def recombined(rows, ncols, ks):
+    """sum k * rows[i], dense, for rows given dense or as dicts."""
+    out = [0] * ncols
+    for i, k in ks.items():
+        r = rows[i]
+        for c, x in (r.items() if isinstance(r, dict) else enumerate(r)):
+            out[c] += k * x
+    return out
+
+
+def assert_combination(space, rows, vec):
+    """combination(vec) is None exactly for non-members, and otherwise
+    den*vec is the integer recombination of the input rows."""
+    got = space.combination(vec)
+    dense = vec if isinstance(vec, list) else \
+        [vec.get(c, 0) for c in range(space.ncols)]
+    if not space.contains(vec):
+        assert got is None
+        return
+    den, ks = got
+    assert den > 0
+    assert all(k and 0 <= i < len(rows) for i, k in ks.items())
+    assert recombined(rows, space.ncols, ks) == [den * x for x in dense]
+
+
+class TestCombination:
+    def test_random_matrices_with_duplicate_scaled_and_zero_rows(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            ncols = rng.randint(1, 10)
+            rows = random_matrix(rng, rng.randint(0, 9), ncols,
+                                 density=rng.choice([0.2, 0.5, 0.9]),
+                                 lo=-rng.choice([1, 4, 12]), hi=12)
+            rows += [[0] * ncols for _ in range(rng.randint(0, 2))]
+            rows += [list(r) for r in rng.sample(rows, len(rows) // 3)]
+            rows += [[rng.choice([-6, -2, 3, 10]) * x for x in r]
+                     for r in rows[:2]]
+            rng.shuffle(rows)
+            space = RowSpace(rows, ncols)
+            for _ in range(4):
+                ks = {i: rng.randint(-5, 5) for i in range(len(rows))}
+                assert_combination(space, rows,
+                                   recombined(rows, ncols, ks))
+                outside = [rng.randint(-3, 3) for _ in range(ncols)]
+                assert_combination(space, rows, outside)
+
+    def test_large_contents_and_pivots_rescale(self):
+        # rows whose contents and pivots share no factors, so unwinding
+        # meets divisors that do not divide the coefficients
+        rows = [[6, 10, 15, 0], [4, 0, 9, 35], [0, 14, 21, 10],
+                [12, 20, 30, 0], [0, 0, 7, 11]]
+        space = RowSpace(rows, 4)
+        for ks in ({0: 1}, {1: 1}, {2: 1}, {4: 1}, {0: 3, 1: -2, 4: 5},
+                   {1: 7, 2: 11}):
+            assert_combination(space, rows, recombined(rows, 4, ks))
 
 
 def test_rank_of():
@@ -178,9 +237,8 @@ class DenseRowSpace:
     sparse: same insertion order, same gcd scaling, every column
     visited."""
 
-    def __init__(self, rows, ncols, pivot_limit=None):
+    def __init__(self, rows, ncols):
         self.ncols = ncols
-        self.pivot_limit = ncols if pivot_limit is None else pivot_limit
         dense = []
         seen = set()
         for r in rows:
@@ -217,7 +275,7 @@ class DenseRowSpace:
 
     def _insert(self, row):
         j = self._leading(row)
-        while j is not None and j < self.pivot_limit:
+        while j is not None:
             idx = self._pivot_of_col.get(j)
             if idx is None:
                 _dense_content_normalize(row, j)
@@ -269,7 +327,7 @@ class DenseRowSpace:
         row = self._densify(vec)
         alpha = 1
         j = self._leading(row)
-        while j is not None and j < self.pivot_limit:
+        while j is not None:
             idx = self._pivot_of_col.get(j)
             if idx is None:
                 j = self._leading(row, j + 1)
@@ -292,15 +350,17 @@ class DenseRowSpace:
         return row, alpha
 
 
-def assert_matches_dense(rows, ncols, pivot_limit, probes):
-    sparse = RowSpace(rows, ncols, pivot_limit)
-    dense = DenseRowSpace(rows, ncols, pivot_limit)
+def assert_matches_dense(rows, ncols, probes):
+    sparse = RowSpace(rows, ncols)
+    dense = DenseRowSpace(rows, ncols)
     assert sparse.pivots == dense.pivots
     assert sparse.rows == dense.rows
     for vec in probes:
         residual, alpha = dense.reduce(vec)
         assert sparse.reduce(vec) == (residual, alpha)
-        assert sparse.contains(vec) == (not any(residual[:dense.pivot_limit]))
+        assert sparse.contains(vec) == (not any(residual))
+        assert_combination(sparse, rows, vec)
+    return sparse
 
 
 def random_probes(rng, rows, ncols, count=6):
@@ -326,21 +386,16 @@ def test_sparse_kernel_matches_dense_on_random_matrices():
     rng = random.Random(41)
     for _ in range(300):
         ncols = rng.randint(1, 12)
-        limit = rng.choice([None, rng.randint(0, ncols)])
         rows = random_matrix(rng, rng.randint(0, 10), ncols,
                              density=rng.choice([0.15, 0.4, 0.8]),
                              lo=-rng.choice([1, 3, 9]), hi=9)
         rows += [[0] * ncols for _ in range(rng.randint(0, 2))]  # zero rows
         rows += [list(r) for r in rng.sample(rows, len(rows) // 3)]
         rows += [[2 * x for x in r] for r in rows[:1]]  # scaled duplicate
-        if limit is not None and limit < ncols:
-            for t, r in enumerate(rows):  # unit tags beyond the limit
-                r[limit + t % (ncols - limit)] += 1
         rng.shuffle(rows)
         rows = [{k: x for k, x in enumerate(r) if x} if rng.random() < 0.5
                 else r for r in rows]
-        assert_matches_dense(rows, ncols, limit,
-                             random_probes(rng, rows, ncols))
+        assert_matches_dense(rows, ncols, random_probes(rng, rows, ncols))
 
 
 def _default_slices():
@@ -348,23 +403,54 @@ def _default_slices():
         for d in range(2, bound + 1):
             for family in (ideal.COMMUTATORS, ideal.DIFFERENCES):
                 yield family, n, d, False
-    for n, bound in ((3, 5), (4, 4)):  # the tagged slices member_stream builds
+    for n, bound in ((3, 5), (4, 4)):  # the slices member_stream certifies
         for d in range(2, bound + 1):
             yield ideal.COMMUTATORS, n, d, True
 
 
-@pytest.mark.parametrize("family,n,degree,tagged", list(_default_slices()))
+def assert_certifies_every_spanning_row(sl):
+    """One certificate per spanning row u*g*v, rebuilt with Polynomial
+    products, independently of the slice's own integer check."""
+    n = sl.n
+    gens = sl.gset.gens
+    t = 0
+    while True:
+        try:
+            u, gi, v = sl.row_source(t)
+        except IndexError:
+            break
+        p = (Polynomial.from_monomial(u, n) * gens[gi]
+             * Polynomial.from_monomial(v, n))
+        cert = sl.certificate_for(p)
+        total = Polynomial.zero(n)
+        for c, cu, cgi, cv in cert:
+            total = total + (Polynomial.from_monomial(cu, n) * gens[cgi]
+                             * Polynomial.from_monomial(cv, n)) * c
+        assert total == p, (u, gi, v)
+        t += 1
+    return t
+
+
+@pytest.mark.parametrize("family,n,degree,certified",
+                         list(_default_slices()))
 def test_sparse_kernel_matches_dense_on_default_slices(
-        monkeypatch, family, n, degree, tagged):
+        monkeypatch, family, n, degree, certified):
+    """The canonical rows equal the dense oracle's; on the slices the
+    benchmark certifies against, every spanning row also gets a
+    certificate that rebuilds in the free ring."""
     calls = []
 
-    def recording(rows, ncols, pivot_limit=None):
-        calls.append((list(rows), ncols, pivot_limit))
+    def recording(rows, ncols):
+        calls.append((list(rows), ncols))
+        return RowSpace(rows, ncols)
 
-    monkeypatch.setattr(ideal, "RowSpace", recording)
-    ideal.DegreeSlice(ideal.generator_set(family, n), degree,
-                      with_tags=tagged)
-    (rows, ncols, limit), = calls
+    gset = ideal.generator_set(family, n)
+    with monkeypatch.context() as m:
+        m.setattr(ideal, "RowSpace", recording)
+        sl = ideal.DegreeSlice(gset, degree)
+    (rows, ncols), = calls
     rng = random.Random(n * 100 + degree)
-    assert_matches_dense(rows, ncols, limit,
-                         random_probes(rng, rows, ncols))
+    space = assert_matches_dense(rows, ncols, random_probes(rng, rows, ncols))
+    assert sl.space == space
+    if certified:
+        assert assert_certifies_every_spanning_row(sl) == len(rows)

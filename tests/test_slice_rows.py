@@ -3,7 +3,9 @@
 ``DegreeSlice.__init__`` finds the column of ``u*m*v`` from base-n word
 codes.  ``product_rows`` is the construction it replaced, one
 ``u * m * v`` monomial per entry, kept here as the reference: both must
-give the same rows, in the same order, with the same ``row_meta``.
+give the same rows, in the same order, and ``DegreeSlice.row_source``
+must decode each row's index into the (u, generator index, v) it was
+built from.
 """
 
 import math
@@ -14,7 +16,7 @@ from sigmaforge import ideal
 from sigmaforge.ring import basis_words, parse_poly
 
 
-def product_rows(gset, degree, with_tags):
+def product_rows(gset, degree):
     n = gset.n
     index = {m: j for j, m in enumerate(basis_words(n, degree))}
     rows = []
@@ -36,23 +38,21 @@ def product_rows(gset, degree, with_tags):
                     if row:
                         rows.append(row)
                         meta.append((u, gi, v))
-    if with_tags:
-        ncols = len(index)
-        rows = [{**row, ncols + t: 1} for t, row in enumerate(rows)]
     return rows, meta
 
 
-def built_rows(monkeypatch, gset, degree, with_tags):
-    """The rows DegreeSlice hands to RowSpace, and its row_meta."""
+def built_rows(monkeypatch, gset, degree):
+    """The rows DegreeSlice hands to RowSpace, and the source of each
+    row as the slice decodes it."""
     calls = []
 
-    def recording(rows, ncols, pivot_limit=None):
+    def recording(rows, ncols):
         calls.append(list(rows))
 
     monkeypatch.setattr(ideal, "RowSpace", recording)
-    sl = ideal.DegreeSlice(gset, degree, with_tags=with_tags)
+    sl = ideal.DegreeSlice(gset, degree)
     (rows,) = calls
-    return rows, sl.row_meta
+    return rows, [sl.row_source(t) for t in range(len(rows))]
 
 
 def mixed_generators():
@@ -69,7 +69,7 @@ def _cases():
         for d in range(2, bound + 1):
             for family in (ideal.COMMUTATORS, ideal.DIFFERENCES):
                 yield family, n, d
-    for n, bound in ((3, 5), (4, 4)):  # the tagged slices member_stream builds
+    for n, bound in ((3, 5), (4, 4)):  # the slices member_stream certifies
         for d in range(2, bound + 1):
             yield ideal.COMMUTATORS, n, d
     yield ideal.COMMUTATORS, 5, 5
@@ -82,10 +82,9 @@ def _cases():
 def test_word_code_rows_match_product_rows(monkeypatch, family, n, degree):
     gset = (mixed_generators() if family == "mixed"
             else ideal.generator_set(family, n))
-    for with_tags in (False, True):
-        rows, meta = built_rows(monkeypatch, gset, degree, with_tags)
-        want_rows, want_meta = product_rows(gset, degree, with_tags)
-        # same rows, same order, same column order within each row
-        assert [list(r.items()) for r in rows] == \
-            [list(r.items()) for r in want_rows]
-        assert meta == (tuple(want_meta) if with_tags else None)
+    rows, sources = built_rows(monkeypatch, gset, degree)
+    want_rows, want_sources = product_rows(gset, degree)
+    # same rows, same order, same column order within each row
+    assert [list(r.items()) for r in rows] == \
+        [list(r.items()) for r in want_rows]
+    assert sources == want_sources
