@@ -234,21 +234,15 @@ class DegreeSlice:
 
     def residual(self, p: Polynomial) -> Polynomial:
         """Normalized residual of p modulo the slice; zero iff member."""
-        row, _ = self.space.reduce(self.terms_of(p)[1])
-        g = 0
-        lead = 0
-        for x in row:
-            if x:
-                if not lead:
-                    lead = x
-                g = math.gcd(g, x)
-        if not lead:
+        row, _ = self.space._reduce(self.terms_of(p)[1])
+        if not row:
             return Polynomial.zero(self.n)
-        if lead < 0:
+        g = math.gcd(*row.values())
+        if row[min(row)] < 0:
             g = -g
+        basis = self.basis
         return Polynomial._trusted(
-            {self.basis[j]: Fraction(x, g) for j, x in enumerate(row) if x},
-            self.n)
+            {basis[j]: Fraction(x, g) for j, x in row.items()}, self.n)
 
     def certificate_for(self, p: Polynomial):
         """Explicit combination [(c, u, gi, v)] with sum c*(u*g*v) = p,

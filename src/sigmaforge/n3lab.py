@@ -51,10 +51,6 @@ def _sym(i: int) -> CommPoly:
     return CommPoly.variable(i, 5)
 
 
-def _const(c) -> CommPoly:
-    return CommPoly({(0, 0, 0, 0, 0): Fraction(c)}, 5)
-
-
 @lru_cache(maxsize=None)
 def d_square_rewrite():
     """d^2 in terms of lower d-degree: the two degree-3 alternating
@@ -89,6 +85,8 @@ class SReduced:
     Multiplication treats c as commuting with the entries and replaces
     c^3 by the central symbol; entries are kept at d-degree at most 1
     through the quadratic rewrite, so equal classes get equal triples.
+    Only the constructor and products rewrite: sums, negation, scalar
+    multiples and ``mul_c`` cannot raise the degree in d.
     """
 
     __slots__ = ("parts",)
@@ -97,11 +95,18 @@ class SReduced:
         parts = []
         for z in (z0, z1, z2):
             if not isinstance(z, CommPoly) and isinstance(z, (int, Fraction)):
-                z = _const(z)
+                z = CommPoly.constant(z, 5)
             if not isinstance(z, CommPoly) or z.arity != 5:
                 raise ValueError("entries must be 5-symbol CommPoly values")
             parts.append(_normalize_d(z))
         object.__setattr__(self, "parts", tuple(parts))
+
+    @classmethod
+    def _trusted(cls, *parts) -> "SReduced":
+        """Wrap entries already at d-degree at most 1."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "parts", parts)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("SReduced is immutable")
@@ -120,10 +125,11 @@ class SReduced:
     def __add__(self, other):
         if not isinstance(other, SReduced):
             return NotImplemented
-        return SReduced(*(a + b for a, b in zip(self.parts, other.parts)))
+        return SReduced._trusted(
+            *(a + b for a, b in zip(self.parts, other.parts)))
 
     def __neg__(self):
-        return SReduced(*(-z for z in self.parts))
+        return SReduced._trusted(*(-z for z in self.parts))
 
     def __sub__(self, other):
         if not isinstance(other, SReduced):
@@ -132,7 +138,7 @@ class SReduced:
 
     def scale(self, c) -> "SReduced":
         c = Fraction(c)
-        return SReduced(*(z * c for z in self.parts))
+        return SReduced._trusted(*(z * c for z in self.parts))
 
     def __mul__(self, other):
         if not isinstance(other, SReduced):
@@ -155,7 +161,7 @@ class SReduced:
     def mul_c(self) -> "SReduced":
         """Multiply by one power of c; the cube wraps into the symbol."""
         z0, z1, z2 = self.parts
-        return SReduced(_sym(4) * z2, z0, z1)
+        return SReduced._trusted(_sym(4) * z2, z0, z1)
 
     def __eq__(self, other):
         return isinstance(other, SReduced) and self.parts == other.parts
@@ -286,7 +292,7 @@ def _reduce_composite(rep: Monomial) -> SReduced:
     the product of the atoms' orbit sums is O[rep] plus lower orbits."""
     factors = factor_atoms(rep, N)
     prod = {ONE: 1}
-    sprod = SReduced.scalar(_const(1))
+    sprod = SReduced.scalar(1)
     for f in factors:
         prod = orbit_product(prod, f, N)
         sprod = sprod * reduce_orbit(f)
@@ -304,7 +310,7 @@ def _reduce_orbits(orbits: dict) -> SReduced:
     total = SReduced.zero()
     for rep, coeff in orbits.items():
         if rep.is_unit():
-            total = total + SReduced.scalar(_const(coeff))
+            total = total + SReduced.scalar(coeff)
         else:
             total = total + reduce_orbit(rep).scale(coeff)
     return total
@@ -594,7 +600,7 @@ def _check_s_reduction(max_degree):
     left = reduce_orbit(Monomial((1, 2), (1, 1)))
     right = reduce_orbit(Monomial((1, 3), (1, 1)))
     prod = left * right
-    expected = SReduced(_sym(2) ** 2, -_sym(2), _const(-2))
+    expected = SReduced(_sym(2) ** 2, -_sym(2), -2)
     frozen = prod == expected
     u12 = cyclic.orbit_polynomial(Monomial((1, 2), (1, 1)), N)
     u13 = cyclic.orbit_polynomial(Monomial((1, 3), (1, 1)), N)

@@ -15,72 +15,32 @@ from fractions import Fraction
 
 from . import cyclic
 from .atoms import factor_atoms, is_atom, orbit_max
-from .ring import Monomial, ONE, Polynomial, render_monomial, render_terms
+from .ring import Monomial, ONE, Polynomial, Terms, render_monomial, render_terms
 
 
-class AtomExpression:
+class AtomExpression(Terms):
     """Formal rational combination of products of atom orbit sums.
 
     Terms map a tuple of atoms (a formal, ordered product; empty for
     the constant term) to a nonzero coefficient.
     """
 
-    __slots__ = ("terms", "arity")
+    __slots__ = ()
 
-    def __init__(self, terms, arity: int):
-        clean = {}
-        for fs, c in terms.items():
-            c = Fraction(c)
-            if not c:
-                continue
-            fs = tuple(fs)
-            for f in fs:
-                if not is_atom(f, arity):
-                    raise ValueError(f"{f!r} is not an atom for n={arity}")
-            clean[fs] = clean.get(fs, Fraction(0)) + c
-        object.__setattr__(self, "terms",
-                           {fs: c for fs, c in clean.items() if c})
-        object.__setattr__(self, "arity", arity)
+    @staticmethod
+    def _key(fs, arity):
+        fs = tuple(fs)
+        for f in fs:
+            if not is_atom(f, arity):
+                raise ValueError(f"{f!r} is not an atom for n={arity}")
+        return fs
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AtomExpression is immutable")
-
-    @classmethod
-    def zero(cls, arity: int) -> "AtomExpression":
-        return cls({}, arity)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _unit(arity):
+        return ()
 
     def add_term(self, factors, coeff) -> "AtomExpression":
-        terms = dict(self.terms)
-        fs = tuple(factors)
-        terms[fs] = terms.get(fs, Fraction(0)) + Fraction(coeff)
-        return AtomExpression(terms, self.arity)
-
-    def __add__(self, other):
-        if not isinstance(other, AtomExpression) or other.arity != self.arity:
-            return NotImplemented
-        terms = dict(self.terms)
-        for fs, c in other.terms.items():
-            terms[fs] = terms.get(fs, Fraction(0)) + c
-        return AtomExpression(terms, self.arity)
-
-    def __neg__(self):
-        return AtomExpression(
-            {fs: -c for fs, c in self.terms.items()}, self.arity)
-
-    def __sub__(self, other):
-        added = self.__add__(-other) if isinstance(other, AtomExpression) \
-            else NotImplemented
-        return added
-
-    def __eq__(self, other):
-        return (isinstance(other, AtomExpression)
-                and self.arity == other.arity and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return self + AtomExpression({tuple(factors): coeff}, self.arity)
 
     def evaluate(self) -> Polynomial:
         """Expand every formal product into actual orbit sums."""

@@ -29,7 +29,7 @@ from sigmaforge.rewrite import (
 def free_ring_reduce_composite(rep):
     factors = factor_atoms(rep, 3)
     prod = Polynomial.constant(1, 3)
-    sprod = n3lab.SReduced.scalar(n3lab._const(1))
+    sprod = n3lab.SReduced.scalar(1)
     for f in factors:
         prod = prod * cyclic.orbit_polynomial(f, 3)
         sprod = sprod * n3lab.reduce_orbit(f)

@@ -1,10 +1,11 @@
-"""Free-ring arithmetic builds its results without re-validating them.
+"""Arithmetic builds its results without re-validating them.
 
-``Monomial.__mul__`` and the ``Polynomial`` operators wrap their results
+``Monomial.__mul__`` and the operators of the sparse-terms core under
+``Polynomial``, ``CommPoly`` and ``AtomExpression`` wrap their results
 with trusted constructors, so the checks here are twofold: every public
 constructor still rejects bad input (also under ``python -O``), and every
-arithmetic result is a polynomial the validating constructor would have
-built, with the ring laws holding on it.
+arithmetic result is a value the validating constructor would have
+built, with the ring (or additive group) laws holding on it.
 """
 
 import os
@@ -16,7 +17,11 @@ from pathlib import Path
 import pytest
 
 from sigmaforge import ring
+from sigmaforge.atoms import enumerate_atoms
+from sigmaforge.n3lab import SReduced
+from sigmaforge.rewrite import AtomExpression
 from sigmaforge.ring import ONE, Monomial, Polynomial, parse_poly
+from sigmaforge.sigma import CommPoly
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -55,6 +60,21 @@ BAD_INPUTS = [
      ValueError),
     ("arity_mismatch_mul",
      lambda: Polynomial.variable(1, 3) * Polynomial.variable(1, 4),
+     ValueError),
+    ("commpoly_vector_too_short", lambda: CommPoly({(1, 0): 1}, 3),
+     ValueError),
+    ("commpoly_negative_exponent", lambda: CommPoly({(1, -1, 0): 1}, 3),
+     ValueError),
+    ("commpoly_arity_mismatch_add",
+     lambda: CommPoly.variable(1, 3) + CommPoly.variable(1, 4), ValueError),
+    ("atom_expression_non_atom",
+     lambda: AtomExpression({(Monomial((1,), (2,)),): 1}, 3), ValueError),
+    ("atom_expression_arity_mismatch_add",
+     lambda: AtomExpression.constant(1, 3) + AtomExpression.constant(1, 4),
+     ValueError),
+    ("sreduced_entry_wrong_arity",
+     lambda: SReduced(CommPoly.variable(1, 3), 0, 0), ValueError),
+    ("sreduced_entry_not_commpoly", lambda: SReduced("s1", 0, 0),
      ValueError),
 ]
 
@@ -135,12 +155,18 @@ SCALARS = st.one_of(st.integers(min_value=-5, max_value=5), COEFFS,
                     st.booleans())
 
 
+def assert_revalidates(r, cls):
+    """r is what the validating constructor of cls makes of its terms."""
+    assert type(r) is cls and r.arity == ARITY
+    assert r == cls(dict(r.terms), r.arity)
+    for c in r.terms.values():
+        assert type(c) is Fraction and c != 0
+
+
 def assert_valid(r):
-    """r is what the validating constructor makes of its own terms."""
-    assert isinstance(r, Polynomial) and r.arity == ARITY
-    assert r == Polynomial(dict(r.terms), r.arity)
-    for m, c in r.terms.items():
-        assert type(m) is Monomial and type(c) is Fraction and c != 0
+    assert_revalidates(r, Polynomial)
+    for m in r.terms:
+        assert type(m) is Monomial
         assert m == Monomial(m.complexion, m.exponents)
         assert hash(m) == hash(Monomial(m.complexion, m.exponents))
 
@@ -183,3 +209,69 @@ def test_monomial_product_matches_letter_concatenation(a, b):
     assert prod == Monomial.from_letters(a + b)
     assert prod.letters() == tuple(a + b)
     assert hash(prod) == hash(Monomial.from_letters(a + b))
+
+
+# -- the other two users of the sparse-terms core ------------------------
+
+EXPONENTS = st.tuples(*[st.integers(min_value=0, max_value=3)] * ARITY)
+COMMS = st.dictionaries(EXPONENTS, COEFFS, max_size=5).map(
+    lambda terms: CommPoly(terms, ARITY))
+ATOMS = st.sampled_from([a for d in (1, 2, 3, 4)
+                         for a in enumerate_atoms(ARITY, d)])
+PRODUCTS = st.lists(ATOMS, max_size=3).map(tuple)
+EXPRS = st.dictionaries(PRODUCTS, COEFFS, max_size=4).map(
+    lambda terms: AtomExpression(terms, ARITY))
+
+
+@given(COMMS, COMMS, SCALARS)
+def test_commpoly_results_equal_their_revalidated_copies(p, q, c):
+    before = dict(p.terms), dict(q.terms)
+    results = [p + q, p - q, -p, p * q, q * p, p * c, c * p, p + c, c + p,
+               p - c, c - p, p ** 2, p - p]
+    if c:
+        results.append(p / c)
+    for r in results:
+        assert_revalidates(r, CommPoly)
+        assert r.terms is not p.terms and r.terms is not q.terms
+    assert (p.terms, q.terms) == before
+
+
+@given(COMMS, COMMS, COMMS)
+def test_commpoly_ring_laws(p, q, r):
+    one = CommPoly.one(ARITY)
+    assert (p * q) * r == p * (q * r)
+    assert (p + q) + r == p + (q + r)
+    assert p + q == q + p
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert p - p == 0 and (p - p).is_zero()
+    assert p * 1 == p == one * p
+    assert p + CommPoly.zero(ARITY) == p
+    assert p ** 3 == p * p * p and p ** 0 == one
+
+
+@given(EXPRS, EXPRS, EXPRS, SCALARS)
+def test_atom_expression_additive_group_laws(a, b, e, c):
+    before = dict(a.terms), dict(b.terms)
+    zero = AtomExpression.zero(ARITY)
+    assert (a + b) + e == a + (b + e)
+    assert a + b == b + a
+    assert a + zero == a == zero + a
+    assert a - a == zero and (a - a).is_zero()
+    assert -(-a) == a and a - b == a + (-b)
+    assert a + c == a + AtomExpression.constant(c, ARITY)
+    assert a * c == c * a
+    for r in (a + b, a - b, -a, a * c, a + c):
+        assert_revalidates(r, AtomExpression)
+        assert r.terms is not a.terms and r.terms is not b.terms
+    assert (a.terms, b.terms) == before
+
+
+@given(EXPRS, PRODUCTS, COEFFS)
+def test_atom_expression_add_term_equals_plus(a, factors, c):
+    got = a.add_term(factors, c)
+    assert got == a + AtomExpression({factors: c}, ARITY)
+    terms = dict(a.terms)
+    terms[factors] = terms.get(factors, 0) + c
+    assert got == AtomExpression(terms, ARITY)
+    assert_revalidates(got, AtomExpression)
