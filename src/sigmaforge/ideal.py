@@ -1,14 +1,23 @@
 """The two-sided ideal measuring cyclic invariance, degree by degree.
 
 Everything here reduces to exact linear algebra on homogeneous slices:
-the degree-d piece of the ideal generated by homogeneous polynomials
-g is spanned by the vectors u*g*v over word pairs (u, v), expressed in
-the fixed degree-d word basis (decreasing monomial order).  Canonical
-echelon forms make span comparison, membership, residual witnesses and
-explicit combination certificates deterministic.  There is one slice per
-family and degree: certificates are read off the elimination records of
-its ``RowSpace``, and each is rebuilt in the free ring before it is
-returned.
+the degree-d piece I_d of the ideal generated by homogeneous
+polynomials g is spanned by the vectors u*g*v over word pairs (u, v),
+expressed in the fixed degree-d word basis (decreasing monomial order).
+Canonical echelon forms make span comparison, membership, residual
+witnesses and explicit combination certificates deterministic.  There
+is one slice per family and degree: certificates are read off the
+elimination records of its ``RowSpace``, and each is rebuilt in the
+free ring before it is returned.
+
+The ideal is two-sided and homogeneous, so I_d = x*I_{d-1} +
+I_{d-1}*x + span(generators of degree d), the recursion behind
+letterplace Groebner bases (La Scala and Levandovskyy, J. Symbolic
+Comput. 2009).  A slice therefore eliminates only the spanning rows
+that this recursion picks from the basis of the slice below it (see
+``DegreeSlice``), not every u*g*v: at n=3 degree 8 that is 7581 of
+20898 rows.  The canonical rows do not depend on which spanning rows
+go in, so neither do ranks, residuals or any output.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import cyclic
 from .linalg import RowSpace
@@ -38,9 +48,15 @@ def default_degree_bound(n: int) -> int:
 
 
 class GeneratorSet:
-    """Named, homogeneous generating family for a two-sided ideal."""
+    """Named, homogeneous generating family for a two-sided ideal.
 
-    __slots__ = ("name", "n", "gens", "_key")
+    ``_integer[gi]`` is (scale, {monomial: int}) with scale*gens[gi]
+    integer, and ``_codes[gi]`` is (degree, ((word code, int), ...)) of
+    the same integer terms: what every slice of the family builds its
+    rows from.
+    """
+
+    __slots__ = ("name", "n", "gens", "_key", "_integer", "_codes")
 
     def __init__(self, name: str, n: int, gens):
         gens = tuple(gens)
@@ -54,6 +70,11 @@ class GeneratorSet:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(
             self, "_key", (name, n, tuple(render_poly(g) for g in gens)))
+        integer = tuple(_integerized(g) for g in gens)
+        object.__setattr__(self, "_integer", integer)
+        object.__setattr__(self, "_codes", tuple(
+            (g.degree(), tuple(zip(_word_codes(gvec, n), gvec.values())))
+            for g, (_, gvec) in zip(gens, integer)))
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorSet is immutable")
@@ -133,15 +154,63 @@ def _word_codes(words, n: int) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def _code_table(n: int, k: int):
+    """(codes, places) for the degree-k words: ``codes[p]`` is the code
+    of the word at position p of ``basis_words(n, k)``, and
+    ``places[c]`` the position of the word with code c."""
+    codes = tuple(_word_codes(basis_words(n, k), n))
+    places = [0] * len(codes)
+    for p, c in enumerate(codes):
+        places[c] = p
+    return codes, tuple(places)
+
+
+def _row(gcode, n: int, col, cu: int, cv: int, s: int) -> dict:
+    """The row of u*G*v, for G an integerized generator with ``gcode`` =
+    (degree, ((code of m, c), ...)) and words u, v of codes cu, cv,
+    |v| = s: an entry c at the column of u*m*v for every term c*m of G,
+    read off the code of u*m*v through ``col``."""
+    e, gterms = gcode
+    vshift = n ** s
+    base = cu * n ** (e + s) + cv
+    return {col[base + cm * vshift]: c for cm, c in gterms}
+
+
+class _Reduction(NamedTuple):
+    """p reduced by a slice: alpha*scale*p - (combination of stored
+    rows) = row, with scale*p integer; ``steps`` records the combination
+    when it was asked for."""
+    scale: int
+    row: dict
+    alpha: int
+    steps: list | None
+
+
 class DegreeSlice:
     """Echelonized degree-d slice of an ideal's span.
 
     Spanning row t is u*g*v for one generator g and words u, v;
-    ``row_source(t)`` decodes t into (u, generator index, v).
+    ``row_source(t)`` decodes t into (u, generator index, v), and
+    ``spanning_row(t)`` builds its row.  Not every spanning row is
+    eliminated.  With S the spanning rows behind the stored rows of the
+    cached degree-(d-1) slice (its ``sources``, a basis of I_{d-1}), the
+    slice inserts only
+
+    - x_i*s for every s in S and every letter x_i;
+    - s*x_j for the s = g*v in S, whose left word is empty;
+    - the generators of degree exactly d.
+
+    These span I_d.  A row u*g*v with u nonempty is x_i times a row of
+    I_{d-1}, so the x_i*s span it.  A row g*v with v nonempty is a row
+    of I_{d-1} times x_j, so the s*x_j over all s in S span it; and for
+    s = x_i*s' that product is x_i*(s'*x_j), which the first kind
+    spans.  The generators of degree d are the rest.  Input row i of
+    ``space`` is spanning row ``_inputs[i]``.
     """
 
-    __slots__ = ("gset", "degree", "basis", "index", "space", "_gens",
-                 "_starts", "_blocks")
+    __slots__ = ("gset", "degree", "basis", "index", "space", "_starts",
+                 "_blocks", "_inputs")
 
     def __init__(self, gset: GeneratorSet, degree: int):
         n = gset.n
@@ -149,42 +218,50 @@ class DegreeSlice:
         self.degree = degree
         self.basis = basis_words(n, degree)
         self.index = {m: j for j, m in enumerate(self.basis)}
-        self._gens = tuple(_integerized(g) for g in gset.gens)
-        # the row of u*g*v has an entry c at the column of u*m*v for
-        # every term c*m of g; that column is read off the word's code
-        codes = [_word_codes(basis_words(n, k), n)
-                 for k in range(degree + 1)]
-        col_of_code = [0] * len(self.basis)
-        for j, code in zip(self.index.values(), codes[degree]):
-            col_of_code[code] = j
-        rows = []
+        # the rows of g: for each split rest = r + s, every u of degree r
+        # with every v of degree s, so each r holds n**rest rows
         starts = []
         blocks = []
-        for gi, g in enumerate(gset.gens):
-            e = g.degree()
+        start_of = {}
+        total = 0
+        for gi, (e, _) in enumerate(gset._codes):
             rest = degree - e
-            if rest < 0:
-                continue
-            # rows of g: for each split rest = r + s, every u of degree r
-            # with every v of degree s, so each r holds n**rest rows
-            starts.append(len(rows))
-            blocks.append((gi, rest))
-            gvec = self._gens[gi][1]
-            gterms = tuple(zip(_word_codes(gvec, n), gvec.values()))
-            for r in range(rest + 1):
-                s = rest - r
-                vshift = n ** s
-                ushift = vshift * n ** e
-                vcodes = codes[s]
-                for cu in codes[r]:
-                    ubase = cu * ushift
-                    for cv in vcodes:
-                        base = ubase + cv
-                        rows.append({col_of_code[base + cm * vshift]: c
-                                     for cm, c in gterms})
+            if rest >= 0:
+                starts.append(total)
+                blocks.append((gi, rest))
+                start_of[gi] = total
+                total += (rest + 1) * n ** rest
         self._starts = tuple(starts)
         self._blocks = tuple(blocks)
-        self.space = RowSpace(rows, len(self.basis))
+        codes = [_code_table(n, k) for k in range(degree + 1)]
+        # (t, gi, code of u, code of v, |v|) of each inserted row
+        picked = [(start_of[gi], gi, 0, 0, 0)
+                  for gi, rest in blocks if rest == 0]
+        if any(rest for _, rest in blocks):
+            below = degree_slice(gset, degree - 1)
+            for t in below.sources:
+                gi, r, s, pu, pv = below._locate(t)
+                start = start_of[gi]
+                cu = codes[r][0][pu]
+                cv = codes[s][0][pv]
+                # x_i*u*g*v: u gains a first letter, the leading digit
+                places = codes[r + 1][1]
+                head = start + (r + 1) * n ** (r + s + 1) + pv
+                vshift = n ** s
+                for c in range(cu, n ** (r + 1), n ** r):
+                    picked.append((head + places[c] * vshift, gi, c, cv, s))
+                if r == 0:
+                    # g*v*x_j: v gains a last letter, the trailing digit
+                    places = codes[s + 1][1]
+                    for c in range(cv * n, cv * n + n):
+                        picked.append((start + places[c], gi, 0, c, s + 1))
+        picked.sort()
+        self._inputs = tuple(p[0] for p in picked)
+        col = codes[degree][1]
+        gcodes = gset._codes
+        self.space = RowSpace(
+            [_row(gcodes[gi], n, col, cu, cv, s)
+             for _, gi, cu, cv, s in picked], len(self.basis))
 
     @property
     def n(self) -> int:
@@ -198,8 +275,16 @@ class DegreeSlice:
     def quotient_dim(self) -> int:
         return len(self.basis) - self.rank
 
-    def row_source(self, t: int):
-        """(u, gi, v) of spanning row t, the row of u*gens[gi]*v."""
+    @property
+    def sources(self) -> tuple:
+        """The spanning row behind each stored row, by pivot: a basis
+        of the slice made of spanning rows."""
+        inputs = self._inputs
+        return tuple(inputs[i] for i in self.space.sources)
+
+    def _locate(self, t: int):
+        """(gi, r, s, position of u, position of v) of spanning row t,
+        the row of u*gens[gi]*v with |u| = r and |v| = s."""
         k = bisect_right(self._starts, t) - 1
         if k < 0 or t < 0:
             raise IndexError("spanning row index out of range")
@@ -207,9 +292,21 @@ class DegreeSlice:
         r, rem = divmod(t - self._starts[k], self.n ** rest)
         if r > rest:
             raise IndexError("spanning row index out of range")
-        ui, vi = divmod(rem, self.n ** (rest - r))
-        return (basis_words(self.n, r)[ui], gi,
-                basis_words(self.n, rest - r)[vi])
+        pu, pv = divmod(rem, self.n ** (rest - r))
+        return gi, r, rest - r, pu, pv
+
+    def row_source(self, t: int):
+        """(u, gi, v) of spanning row t, the row of u*gens[gi]*v."""
+        gi, r, s, pu, pv = self._locate(t)
+        return basis_words(self.n, r)[pu], gi, basis_words(self.n, s)[pv]
+
+    def spanning_row(self, t: int) -> dict:
+        """{column: int} of spanning row t, as the constructor builds
+        the rows it inserts."""
+        gi, r, s, pu, pv = self._locate(t)
+        n = self.n
+        return _row(self.gset._codes[gi], n, _code_table(n, self.degree)[1],
+                    _code_table(n, r)[0][pu], _code_table(n, s)[0][pv], s)
 
     def terms_of(self, p: Polynomial):
         """(scale, {column: int}) for a homogeneous-of-this-degree p."""
@@ -232,9 +329,18 @@ class DegreeSlice:
     def contains(self, p: Polynomial) -> bool:
         return self.space.contains(self.terms_of(p)[1])
 
-    def residual(self, p: Polynomial) -> Polynomial:
-        """Normalized residual of p modulo the slice; zero iff member."""
-        row, _ = self.space._reduce(self.terms_of(p)[1])
+    def reduce(self, p: Polynomial, record=False) -> _Reduction:
+        """p reduced by the slice, recording the combination of stored
+        rows when ``record`` is set, as ``certificate_for`` needs."""
+        scale, terms = self.terms_of(p)
+        steps = [1] if record else None
+        row, alpha = self.space._reduce(terms, steps)
+        return _Reduction(scale, row, alpha, steps)
+
+    def residual(self, p: Polynomial, reduced=None) -> Polynomial:
+        """Normalized residual of p modulo the slice; zero iff member.
+        ``reduced`` is ``self.reduce(p)`` when the caller has it."""
+        row = (self.reduce(p) if reduced is None else reduced).row
         if not row:
             return Polynomial.zero(self.n)
         g = math.gcd(*row.values())
@@ -244,28 +350,29 @@ class DegreeSlice:
         return Polynomial._trusted(
             {basis[j]: Fraction(x, g) for j, x in row.items()}, self.n)
 
-    def certificate_for(self, p: Polynomial):
+    def certificate_for(self, p: Polynomial, reduced=None):
         """Explicit combination [(c, u, gi, v)] with sum c*(u*g*v) = p,
-        where g = gens[gi]; None when p is not in the slice.
+        where g = gens[gi]; None when p is not in the slice.  ``reduced``
+        is ``self.reduce(p, record=True)`` when the caller has it.
 
-        ``RowSpace.combination`` gives den*scale*p = sum k*(u*G*v) over
-        spanning rows, G = gscale*g the integerized generator, so each
-        coefficient is c = k*gscale/(den*scale).  The certificate is
-        rebuilt in integers in the free ring, with monomial products and
-        not with the word codes the rows were built from, and compared
-        with den*scale*p before it is returned.
+        ``RowSpace`` unwinds den*scale*p = sum k*(u*G*v) over the
+        inserted spanning rows, G = gscale*g the integerized generator,
+        so each coefficient is c = k*gscale/(den*scale).  The certificate
+        is rebuilt in integers in the free ring, with monomial products
+        and not with the word codes the rows were built from, and
+        compared with den*scale*p before it is returned.
         """
-        scale, terms = self.terms_of(p)
-        got = self.space.combination(terms)
-        if got is None:
+        if reduced is None:
+            reduced = self.reduce(p, record=True)
+        if reduced.row:
             return None
-        den, ks = got
-        denom = den * scale
+        den, ks = self.space._unwind(reduced.alpha, reduced.steps)
+        denom = den * reduced.scale
         recon = {}
         cert = []
-        for t, k in sorted(ks.items()):
-            u, gi, v = self.row_source(t)
-            gscale, gvec = self._gens[gi]
+        for i, k in sorted(ks.items()):
+            u, gi, v = self.row_source(self._inputs[i])
+            gscale, gvec = self.gset._integer[gi]
             for m, c in gvec.items():
                 w = u * m * v
                 recon[w] = recon.get(w, 0) + k * c
@@ -286,6 +393,7 @@ def clear_caches():
     commutator_generators.cache_clear()
     difference_generators.cache_clear()
     _canonical_quadratic_space.cache_clear()
+    _code_table.cache_clear()
 
 
 def degree_slice(gset: GeneratorSet, degree: int,
@@ -338,12 +446,12 @@ def member(p: Polynomial, gset: GeneratorSet, certify=False) -> MemberResult:
     certificate = [] if certify else None
     for d, comp in p.homogeneous_components().items():
         sl = degree_slice(gset, d)
-        if certify:
-            cert = sl.certificate_for(comp)
-            if cert is not None:
-                certificate.extend(cert)
-                continue
-        r = sl.residual(comp)
+        # one reduction per component: a certificate or a residual
+        reduced = sl.reduce(comp, record=certify)
+        if certify and not reduced.row:
+            certificate.extend(sl.certificate_for(comp, reduced))
+            continue
+        r = sl.residual(comp, reduced)
         if not r.is_zero():
             residuals[d] = r
     ok = not residuals

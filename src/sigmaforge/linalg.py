@@ -219,6 +219,14 @@ class RowSpace:
         return out
 
     @property
+    def sources(self) -> tuple:
+        """Index of the input row behind each stored row, by pivot: the
+        inputs that were independent when inserted, which span the same
+        space."""
+        records = self._records
+        return tuple(records[p][1] for p in self._pivots)
+
+    @property
     def rows(self) -> tuple:
         return tuple(tuple(self._dense(r)) for r in self._rows)
 
@@ -252,6 +260,11 @@ class RowSpace:
         row, den = self._reduce(vec, steps)
         if row:
             return None
+        return self._unwind(den, steps)
+
+    def _unwind(self, den, steps):
+        """``combination`` of a vector whose reduction by ``_reduce``
+        left no row: den*vec is ``steps``'s combination of stored rows."""
         records = self._records
         final = dict(zip(steps[1::2], steps[2::2]))
         inserted = {}

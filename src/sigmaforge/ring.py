@@ -281,7 +281,15 @@ class Terms:
         return self.arity == other.arity and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        # a constant equals its scalar, so it hashes as the scalar
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1:
+            (key, c), = terms.items()
+            if key == self._unit(self.arity):
+                return hash(c)
+        return hash((self.arity, frozenset(terms.items())))
 
 
 class Polynomial(Terms):

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from sigmaforge import ideal
+from sigmaforge.linalg import RowSpace
 from sigmaforge.ring import Monomial, Polynomial, parse_poly
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -124,6 +125,34 @@ def test_zero_needs_no_certificate():
     gset = ideal.commutator_generators(3)
     res = ideal.member(Polynomial.zero(3), gset, certify=True)
     assert res.member and res.certificate == []
+
+
+def test_certified_membership_reduces_each_component_once(monkeypatch):
+    """A certificate or a residual comes from one reduction per
+    homogeneous component, member or not."""
+    gset = ideal.commutator_generators(3)
+    rng = random.Random(11)
+    for d in (2, 3, 4):
+        ideal.degree_slice(gset, d)  # built before counting
+    calls = []
+    reduce = RowSpace._reduce
+
+    def counting(self, vec, steps=None):
+        calls.append(steps is not None)
+        return reduce(self, vec, steps)
+
+    monkeypatch.setattr(RowSpace, "_reduce", counting)
+    members = random_member(rng, gset, 2) + random_member(rng, gset, 4)
+    assert_certified(members + random_member(rng, gset, 3), gset)
+    assert calls == [True] * 3
+    calls.clear()
+    off = members + parse_poly("x1*x2*x3", 3)
+    res = ideal.member(off, gset, certify=True)
+    assert not res.member and set(res.residuals) == {3}
+    assert calls == [True] * 3
+    calls.clear()
+    assert ideal.member(off, gset).residuals == res.residuals
+    assert calls == [False] * 3
 
 
 # -- a corrupted record is caught, also under python -O --------------

@@ -58,7 +58,10 @@ def test_clear_caches_rebuilds_equal_slices():
     assert commutator_generators(3) is not gset
     after = degree_slice(commutator_generators(3), 4)
     assert after is not before  # the cache missed again
-    assert len(ideal._slice_cache) == 1
+    # a slice is built from the one below it, down to the lowest
+    # generator degree, 2
+    key = commutator_generators(3).cache_key()
+    assert sorted(ideal._slice_cache) == [(key, 2), (key, 3), (key, 4)]
     assert after.space == before.space
     assert hash(after.space) == hash(before.space)
 
@@ -298,3 +301,19 @@ def test_generator_set_validation():
         ideal.GeneratorSet("bad", 3, [parse_poly("x1 + x1*x2", 3)])
     with pytest.raises(ValueError):
         ideal.GeneratorSet("bad", 3, [Polynomial.variable(1, 4)])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,top,dims", [
+    (3, 8, {6: 50, 7: 70, 8: 95}), (4, 6, {6: 619}), (5, 5, {5: 1107})])
+def test_thm_1_1_at_north_star_degrees(n, top, dims):
+    """Both families span the same slices up to the target degrees, with
+    the quotient dimensions pinned where the default bounds stop."""
+    units = run_check("thm_1_1", n, max_degree=top)
+    assert [u["degree"] for u in units] == list(range(2, top + 1))
+    assert all(u["status"] == "pass" for u in units)
+    for d, q in dims.items():
+        assert quotient_dim(n, d) == q
+        witness = units[d - 2]["witness"]
+        assert witness["rank_commutators"] == n ** d - q
+        assert witness["rank_differences"] == n ** d - q

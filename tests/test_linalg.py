@@ -434,21 +434,19 @@ def assert_certifies_every_spanning_row(sl):
 @pytest.mark.parametrize("family,n,degree,certified",
                          list(_default_slices()))
 def test_sparse_kernel_matches_dense_on_default_slices(
-        monkeypatch, family, n, degree, certified):
-    """The canonical rows equal the dense oracle's; on the slices the
-    benchmark certifies against, every spanning row also gets a
+        family, n, degree, certified):
+    """The canonical rows equal the dense oracle's over every spanning
+    row, though the slice eliminates only some of them; on the slices
+    the benchmark certifies against, every spanning row also gets a
     certificate that rebuilds in the free ring."""
-    calls = []
-
-    def recording(rows, ncols):
-        calls.append((list(rows), ncols))
-        return RowSpace(rows, ncols)
-
-    gset = ideal.generator_set(family, n)
-    with monkeypatch.context() as m:
-        m.setattr(ideal, "RowSpace", recording)
-        sl = ideal.DegreeSlice(gset, degree)
-    (rows, ncols), = calls
+    sl = ideal.DegreeSlice(ideal.generator_set(family, n), degree)
+    rows = []
+    while True:
+        try:
+            rows.append(sl.spanning_row(len(rows)))
+        except IndexError:
+            break
+    ncols = len(sl.basis)
     rng = random.Random(n * 100 + degree)
     space = assert_matches_dense(rows, ncols, random_probes(rng, rows, ncols))
     assert sl.space == space

@@ -134,6 +134,28 @@ def test_scalars_keep_their_meaning():
         p * 1.5
 
 
+@pytest.mark.parametrize("cls", [Polynomial, CommPoly, AtomExpression],
+                         ids=lambda cls: cls.__name__)
+def test_constants_hash_as_their_scalars(cls):
+    """A constant equals its scalar, so it must hash as the scalar: sets
+    and dicts then find one through the other."""
+    for c in (1, -3, Fraction(2, 7), 0):
+        k = cls.constant(c, 3)
+        assert k == c and hash(k) == hash(c)
+        assert c in {k} and k in {c}
+        assert {k: "v"}[c] == "v"
+    zero = cls.zero(3)
+    assert zero == 0 and 0 in {zero} and zero in {0}
+    assert cls.one(3) in {1, 2} and True in {cls.one(3)}
+    # a value with a non-constant term is not a scalar
+    other = cls.constant(1, 3) + {Polynomial: Polynomial.variable(1, 3),
+                                  CommPoly: CommPoly({(1, 0, 0): 1}, 3),
+                                  AtomExpression: AtomExpression(
+                                      {(enumerate_atoms(3, 1)[0],): 1}, 3),
+                                  }[cls]
+    assert other != 1 and other not in {1}
+
+
 def test_monomial_product_is_a_valid_word():
     a, b = Monomial((1, 2), (1, 3)), Monomial((2, 1), (1, 1))
     prod = a * b
