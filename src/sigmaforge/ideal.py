@@ -308,8 +308,9 @@ class DegreeSlice:
         return _row(self.gset._codes[gi], n, _code_table(n, self.degree)[1],
                     _code_table(n, r)[0][pu], _code_table(n, s)[0][pv], s)
 
-    def terms_of(self, p: Polynomial):
-        """(scale, {column: int}) for a homogeneous-of-this-degree p."""
+    def vector_of(self, p: Polynomial):
+        """(scale, {column: int}) with scale*p integer, for a
+        homogeneous-of-this-degree p."""
         if p.arity != self.n:
             raise ValueError("arity mismatch")
         if not p.is_homogeneous(self.degree):
@@ -318,29 +319,21 @@ class DegreeSlice:
         scale, terms = _integerized(p)
         return scale, {self.index[m]: x for m, x in terms.items()}
 
-    def vector_of(self, p: Polynomial):
-        """(scale, dense integer vector) for a homogeneous-of-this-degree p."""
-        scale, terms = self.terms_of(p)
-        vec = [0] * len(self.basis)
-        for j, x in terms.items():
-            vec[j] = x
-        return scale, vec
-
     def contains(self, p: Polynomial) -> bool:
-        return self.space.contains(self.terms_of(p)[1])
+        return self.space.contains(self.vector_of(p)[1])
 
     def reduce(self, p: Polynomial, record=False) -> _Reduction:
         """p reduced by the slice, recording the combination of stored
         rows when ``record`` is set, as ``certificate_for`` needs."""
-        scale, terms = self.terms_of(p)
+        scale, vec = self.vector_of(p)
         steps = [1] if record else None
-        row, alpha = self.space._reduce(terms, steps)
+        row, alpha = self.space.reduce(vec, steps)
         return _Reduction(scale, row, alpha, steps)
 
-    def residual(self, p: Polynomial, reduced=None) -> Polynomial:
-        """Normalized residual of p modulo the slice; zero iff member.
-        ``reduced`` is ``self.reduce(p)`` when the caller has it."""
-        row = (self.reduce(p) if reduced is None else reduced).row
+    def residual(self, p: Polynomial, reduced: _Reduction) -> Polynomial:
+        """Normalized residual of p modulo the slice, from its reduction
+        ``reduced = self.reduce(p)``; zero iff member."""
+        row = reduced.row
         if not row:
             return Polynomial.zero(self.n)
         g = math.gcd(*row.values())
@@ -350,10 +343,10 @@ class DegreeSlice:
         return Polynomial._trusted(
             {basis[j]: Fraction(x, g) for j, x in row.items()}, self.n)
 
-    def certificate_for(self, p: Polynomial, reduced=None):
+    def certificate_for(self, p: Polynomial, reduced: _Reduction):
         """Explicit combination [(c, u, gi, v)] with sum c*(u*g*v) = p,
-        where g = gens[gi]; None when p is not in the slice.  ``reduced``
-        is ``self.reduce(p, record=True)`` when the caller has it.
+        where g = gens[gi], from its recorded reduction ``reduced =
+        self.reduce(p, record=True)``; None when p is not in the slice.
 
         ``RowSpace`` unwinds den*scale*p = sum k*(u*G*v) over the
         inserted spanning rows, G = gscale*g the integerized generator,
@@ -362,8 +355,6 @@ class DegreeSlice:
         and not with the word codes the rows were built from, and
         compared with den*scale*p before it is returned.
         """
-        if reduced is None:
-            reduced = self.reduce(p, record=True)
         if reduced.row:
             return None
         den, ks = self.space._unwind(reduced.alpha, reduced.steps)
@@ -533,10 +524,10 @@ def _canonical_quadratic_space(n: int):
     rows = []
     for label, poly in _canonical_quadratic_basis(n):
         labels.append(label)
-        scale, terms = sl.terms_of(poly)
+        scale, vec = sl.vector_of(poly)
         if scale != 1:
             raise AssertionError("canonical quadratic basis is not integral")
-        rows.append(terms)
+        rows.append(vec)
     rows.extend(sl.space.rows)
     space = RowSpace(rows, len(sl.basis))
     if space.rank != len(rows) or space.rank != len(sl.basis):
@@ -554,8 +545,8 @@ def canonical_quadratic(p: Polynomial) -> dict:
     if not p.is_homogeneous(2):
         raise ValueError("expected a homogeneous quadratic")
     sl, space, labels = _canonical_quadratic_space(n)
-    scale, terms = sl.terms_of(p)
-    got = space.combination(terms)
+    scale, vec = sl.vector_of(p)
+    got = space.combination(vec)
     if got is None:
         raise AssertionError("quadratic failed to reduce; basis incomplete")
     den, ks = got
@@ -606,11 +597,7 @@ def check_thm_1_1(n: int, max_degree=None):
 
 def check_thm_1_3_independence(n: int, max_degree=None):
     sl = degree_slice(commutator_generators(n), 2)
-    vectors = []
-    for _, c in offdiag_commutators(n):
-        _, vec = sl.vector_of(c)
-        row, _ = sl.space.reduce(vec)
-        vectors.append(row)
+    vectors = [sl.reduce(c).row for _, c in offdiag_commutators(n)]
     count = len(vectors)
     rank = RowSpace(vectors, len(sl.basis)).rank
     out = [_unit("thm_1_3_independence", n, 2, rank == count,

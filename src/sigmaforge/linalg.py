@@ -1,20 +1,23 @@
 """Exact integer linear algebra: canonical reduced row echelon form.
 
-Rows are integer vectors, stored sparsely as {column: value} dicts.  The
-canonical form of a row space is the rational RREF with every row scaled
-to content-free integers and a positive pivot, which is unique, so two
-spans are equal exactly when their canonical rows are equal and results
-do not depend on input order.  The structured matrices handled here are
-very sparse (a canonical row of the n=5 degree-5 ideal slice holds 123
-of 3125 entries on average), so elimination and normalization visit the
-nonzero entries only, after the structured elimination of LaMacchia and
-Odlyzko (CRYPTO 1990) carried over to exact integers.
+A row is a {column: int} dict of its nonzero entries, going in and
+coming out; there is no dense form.  The canonical form of a row space
+is the rational RREF with every row scaled to content-free integers and
+a positive pivot, which is unique, so two spans are equal exactly when
+their canonical rows are equal and results do not depend on input
+order.  The structured matrices handled here are very sparse (a
+canonical row of the n=5 degree-5 ideal slice holds 123 of 3125 entries
+on average), so elimination and normalization visit the nonzero entries
+only, after the structured elimination of LaMacchia and Odlyzko (CRYPTO
+1990) carried over to exact integers.
 
 Every stored row keeps the record of the eliminations that shaped it,
 so a vector of the span can be written as an integer combination of the
 input rows (``RowSpace.combination``) without a tag column per input:
 the product form of the inverse (Dantzig and Orchard-Hays, 1954).  An
-input that reduces to zero records nothing.
+input that reduces to zero records nothing.  ``RowSpace.reduce`` is the
+one reduction against a finished basis: membership and combinations
+are read off it.
 """
 
 from __future__ import annotations
@@ -53,7 +56,9 @@ def _dense_order_key(row):
 class RowSpace:
     """Canonical echelon basis of the span of integer rows.
 
-    ``rows`` may be dicts {column: value} or dense sequences.  For each
+    Each of ``rows`` is a {column: int} dict with columns in
+    ``range(ncols)``; an entry that is not an ``int`` (a ``Fraction`` or
+    a ``float``) raises TypeError, and zero entries are dropped.  For each
     stored row, keyed by its pivot column, ``_records`` holds one tuple
     ``(order, index, content, mult, div, steps, bmult, bdiv, bsteps)``
     of integers and two flat tuples of pairs.  The first six describe
@@ -100,18 +105,18 @@ class RowSpace:
         self._back_substitute()
 
     def _sparse(self, r):
-        if isinstance(r, dict):
-            row = {}
-            for c, v in r.items():
-                if not 0 <= c < self.ncols:
-                    raise ValueError(f"column {c} out of range")
-                x = int(v)
-                if x:
-                    row[c] = x
-            return row
-        if len(r) != self.ncols:
-            raise ValueError("dense row has wrong length")
-        return {c: x for c, x in enumerate(map(int, r)) if x}
+        """A checked copy of the row ``r`` without its zero entries."""
+        if not isinstance(r, dict):
+            raise TypeError("a row is a {column: int} dict")
+        row = {}
+        for c, v in r.items():
+            if not 0 <= c < self.ncols:
+                raise ValueError(f"column {c} out of range")
+            if not isinstance(v, int):
+                raise TypeError(f"entry {v!r} at column {c} is not an int")
+            if v:
+                row[c] = int(v)
+        return row
 
     def _insert(self, order, row, index, content):
         heap = sorted(row)
@@ -193,15 +198,6 @@ class RowSpace:
             # about two thirds of the memory on the larger slices
             rows[pos] = self._pivot_of_col[own] = dict(row.items())
 
-    def _reduce(self, vec, steps=None):
-        """(row, alpha) with row = alpha*vec - (combination of stored
-        rows); the combination is folded into ``steps`` when given."""
-        row = self._sparse(vec)
-        alpha = 1
-        for j in self._pivots_in(row):
-            alpha *= self._eliminate(row, self._pivot_of_col[j], j, steps)
-        return row, alpha
-
     # -- public surface ----------------------------------------------
 
     @property
@@ -211,12 +207,6 @@ class RowSpace:
     @property
     def pivots(self) -> tuple:
         return tuple(self._pivots)
-
-    def _dense(self, row):
-        out = [0] * self.ncols
-        for c, x in row.items():
-            out[c] = x
-        return out
 
     @property
     def sources(self) -> tuple:
@@ -228,22 +218,26 @@ class RowSpace:
 
     @property
     def rows(self) -> tuple:
-        return tuple(tuple(self._dense(r)) for r in self._rows)
+        """The canonical rows by pivot, as {column: int} copies."""
+        return tuple(dict(r) for r in self._rows)
 
-    def reduce(self, vec):
-        """Reduce a vector (dense or {column: value}) against the basis.
+    def reduce(self, vec, steps=None):
+        """Reduce a {column: int} vector against the basis.
 
-        Returns (residual, alpha): residual is a dense list equal to
-        alpha*vec - (combination of stored rows), with alpha a positive
-        integer.  The vector is in the span exactly when the residual is
-        zero.
+        Returns (row, alpha): ``row`` is the residual {column: int} dict,
+        equal to alpha*vec - (combination of stored rows), with alpha a
+        positive integer.  The vector is in the span exactly when the
+        residual is empty.  ``steps``, when given as the list [1],
+        records that combination as ``combination`` reads it.
         """
-        row, alpha = self._reduce(vec)
-        return self._dense(row), alpha
+        row = self._sparse(vec)
+        alpha = 1
+        for j in self._pivots_in(row):
+            alpha *= self._eliminate(row, self._pivot_of_col[j], j, steps)
+        return row, alpha
 
     def contains(self, vec) -> bool:
-        row, _ = self._reduce(vec)
-        return not row
+        return not self.reduce(vec)[0]
 
     def combination(self, vec):
         """Write a vector of the span as a combination of the input rows.
@@ -257,13 +251,13 @@ class RowSpace:
         a coefficient rescales the whole combination, and ``den``.
         """
         steps = [1]
-        row, den = self._reduce(vec, steps)
+        row, den = self.reduce(vec, steps)
         if row:
             return None
         return self._unwind(den, steps)
 
     def _unwind(self, den, steps):
-        """``combination`` of a vector whose reduction by ``_reduce``
+        """``combination`` of a vector whose reduction by ``reduce``
         left no row: den*vec is ``steps``'s combination of stored rows."""
         records = self._records
         final = dict(zip(steps[1::2], steps[2::2]))

@@ -64,8 +64,8 @@ def mat_rank(m) -> int:
     rows = []
     for row in m:
         scale = math.lcm(*(x.denominator for x in row))
-        rows.append([int(x * scale) for x in row])
-    return rank_of(rows, len(rows[0]) if rows else 0)
+        rows.append({c: int(x * scale) for c, x in enumerate(row) if x})
+    return rank_of(rows, len(m[0]) if m else 0)
 
 
 @dataclass(frozen=True)

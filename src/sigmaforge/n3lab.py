@@ -20,7 +20,7 @@ from . import cyclic
 from .atoms import enumerate_atoms, factor_atoms, is_atom, orbit_max
 from .ideal import commutator_generators, degree_slice, member
 from .linalg import RowSpace
-from .ring import Monomial, ONE, Polynomial, basis_words, parse_poly, render_poly
+from .ring import Monomial, ONE, Polynomial, parse_poly, render_poly
 from .rewrite import orbit_decompose, orbit_product
 from .sigma import CommPoly, abelianize, build_sigma
 
@@ -503,41 +503,38 @@ def _check_central_quadratics():
     gset = commutator_generators(N)
     sl2 = degree_slice(gset, 2)
     sl3 = degree_slice(gset, 3)
-    words = basis_words(N, 2)
-    nw = len(words)
     # row t is [residuals of [x_i, w_t] modulo the degree-3 slice | unit
-    # vector e_t]; one common scale keeps every row proportional to its
-    # exact rational value, so rows pivoting in the unit block carry a
-    # basis of the kernel there (a kernel is a relation among the rows,
-    # which RowSpace.combination, a combination for one vector of the
-    # span, does not give)
+    # vector e_t], w_t = sl2.basis[t]: residual block k at columns from
+    # k*m on, m = len(sl3.basis), and e_t at column 3*m + t.  One common
+    # scale keeps every row proportional to its exact rational value, so
+    # rows pivoting in the unit block carry a basis of the kernel there,
+    # in the columns of sl2 (a kernel is a relation among the rows, which
+    # RowSpace.combination, a combination for one vector of the span,
+    # does not give)
+    m = len(sl3.basis)
+    real = 3 * m
     blocks = []
-    for w in words:
+    for w in sl2.basis:
         p = Polynomial.from_monomial(w, N)
-        vecs = [sl3.vector_of(_x(i) * p - p * _x(i))[1] for i in (1, 2, 3)]
-        blocks.append([sl3.space.reduce(v) for v in vecs])
-    scale = math.lcm(*(alpha for bl in blocks for _, alpha in bl))
-    real = 3 * len(sl3.basis)
-    rows = [[x * (scale // alpha) for res, alpha in bl for x in res]
-            + [scale if j == t else 0 for j in range(nw)]
-            for t, bl in enumerate(blocks)]
-    space = RowSpace(rows, real + nw)
-    basis_rows = [row[real:] for j, row in zip(space.pivots, space.rows)
-                  if j >= real]
-    nullity = len(basis_rows)
+        blocks.append([sl3.reduce(_x(i) * p - p * _x(i)) for i in (1, 2, 3)])
+    scale = math.lcm(*(r.scale * r.alpha for bl in blocks for r in bl))
+    rows = []
+    for t, bl in enumerate(blocks):
+        row = {real + t: scale}
+        for k, r in enumerate(bl):
+            f = scale // (r.scale * r.alpha)
+            row.update((k * m + c, x * f) for c, x in r.row.items())
+        rows.append(row)
+    space = RowSpace(rows, real + len(sl2.basis))
+    kernel = [{c - real: x for c, x in row.items()}
+              for j, row in zip(space.pivots, space.rows) if j >= real]
+    nullity = len(kernel)
     s1 = build_sigma(N, 1)
     s2 = build_sigma(N, 2)
-    span_rows = [list(r) for r in sl2.space.rows]
-    for q in (s1 * s1, s2):
-        _, v = sl2.vector_of(q)
-        span_rows.append(v)
-    span = RowSpace(span_rows, len(sl2.basis))
-    contained = True
-    for a in basis_rows:
-        p = Polynomial({w: c for w, c in zip(words, a) if c}, N)
-        _, v = sl2.vector_of(p)
-        if not span.contains(v):
-            contained = False
+    span = RowSpace(list(sl2.space.rows)
+                    + [sl2.vector_of(q)[1] for q in (s1 * s1, s2)],
+                    len(sl2.basis))
+    contained = all(span.contains(a) for a in kernel)
     expected = 2 + sl2.rank
     return [_unit("n3_central_quadratics", 2,
                   nullity == expected and contained,
@@ -585,8 +582,7 @@ def _check_s_independence(max_degree):
             p = _expand_comm(CommPoly({ev: 1}, 5))
             for _ in range(j):
                 p = p * c
-            _, vec = sl.vector_of(p)
-            rows.append(sl.space.reduce(vec)[0])
+            rows.append(sl.reduce(p).row)
         rank = RowSpace(rows, len(sl.basis)).rank
         out.append(_unit("n3_s_independence", d, rank == count,
                          {"count": count, "rank": rank}))

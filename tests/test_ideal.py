@@ -189,7 +189,7 @@ def test_commutator_ideal_contains_invariance_ideal_strictly():
         big = degree_slice(pairwise, d)
         small = degree_slice(commutator_generators(n), d)
         for row in small.space.rows:
-            assert big.space.contains(list(row))
+            assert big.space.contains(row)
         assert big.rank > small.rank
         assert big.quotient_dim == math.comb(n + d - 1, d)
 

@@ -32,15 +32,29 @@ def naive_rref(rows, ncols):
     return [row for row in mat[:r]], pivots
 
 
+def densify(row, ncols):
+    """The dense list of a {column: int} row."""
+    out = [0] * ncols
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
+def sparsify(rows):
+    """{column: int} dicts of dense rows, zero entries dropped."""
+    return [{c: x for c, x in enumerate(r) if x} for r in rows]
+
+
 def to_rational(space):
     out = []
     for row, p in zip(space.rows, space.pivots):
         lead = Fraction(row[p])
-        out.append([Fraction(x) / lead for x in row])
+        out.append([Fraction(x) / lead for x in densify(row, space.ncols)])
     return out
 
 
 def random_matrix(rng, nrows, ncols, density=0.5, lo=-6, hi=6):
+    """Dense rows, the oracles' input; ``sparsify`` them for RowSpace."""
     return [[rng.randint(lo, hi) if rng.random() < density else 0
              for _ in range(ncols)] for _ in range(nrows)]
 
@@ -52,16 +66,25 @@ class TestAgainstFractionOracle:
             nrows = rng.randint(1, 8)
             ncols = rng.randint(1, 8)
             mat = random_matrix(rng, nrows, ncols)
-            space = RowSpace(mat, ncols)
+            space = RowSpace(sparsify(mat), ncols)
             want, piv = naive_rref(mat, ncols)
             assert space.pivots == tuple(piv), f"trial {trial}"
             assert to_rational(space) == want, f"trial {trial}"
 
     def test_rows_are_content_free_integers(self):
-        space = RowSpace([[2, 4, 6], [0, 10, 5]], 3)
+        space = RowSpace([{0: 2, 1: 4, 2: 6}, {1: 10, 2: 5}], 3)
         for row in space.rows:
-            assert all(isinstance(x, int) for x in row)
-        assert space.rows == ((1, 0, 2), (0, 2, 1))
+            assert all(type(x) is int for x in row.values())
+        assert space.rows == ({0: 1, 2: 2}, {1: 2, 2: 1})
+        # the rows are copies: changing one leaves the space as it was
+        space.rows[0][1] = 7
+        assert space.rows == ({0: 1, 2: 2}, {1: 2, 2: 1})
+
+    def test_bool_and_int_entries_are_valid(self):
+        space = RowSpace([{0: True, 1: 2, 2: False}], 3)
+        assert space.rows == ({0: 1, 1: 2},)
+        assert type(space.rows[0][0]) is int
+        assert space.contains({0: -True, 1: -2})
 
 
 class TestCanonicality:
@@ -69,32 +92,28 @@ class TestCanonicality:
         rng = random.Random(17)
         for _ in range(25):
             mat = random_matrix(rng, 6, 7)
-            base = RowSpace(mat, 7)
+            base = RowSpace(sparsify(mat), 7)
             shuffled = mat[:]
             rng.shuffle(shuffled)
             factors = [rng.choice([-3, -1, 2, 5]) for _ in shuffled]
             scaled = [[x * f for x in row]
                       for f, row in zip(factors, shuffled)]
             combo = scaled + [[a + b for a, b in zip(mat[0], mat[1])]]
-            assert RowSpace(shuffled, 7) == base
-            assert RowSpace(scaled, 7) == base
-            assert RowSpace(combo, 7) == base
+            assert RowSpace(sparsify(shuffled), 7) == base
+            assert RowSpace(sparsify(scaled), 7) == base
+            assert RowSpace(sparsify(combo), 7) == base
 
     def test_duplicates_do_not_matter(self):
-        mat = [[1, 2, 0], [1, 2, 0], [-2, -4, 0], [0, 0, 3]]
+        mat = [{0: 1, 1: 2}, {0: 1, 1: 2}, {0: -2, 1: -4}, {2: 3}]
         assert RowSpace(mat, 3).rank == 2
-
-    def test_sparse_and_dense_inputs_agree(self):
-        dense = [[0, 3, 0, -1], [2, 0, 0, 0]]
-        sparse = [{1: 3, 3: -1}, {0: 2}]
-        assert RowSpace(dense, 4) == RowSpace(sparse, 4)
 
     def test_empty(self):
         space = RowSpace([], 4)
         assert space.rank == 0
         assert space.rows == ()
-        assert space.contains([0, 0, 0, 0])
-        assert not space.contains([1, 0, 0, 0])
+        assert space.contains({})
+        assert space.contains({2: 0})
+        assert not space.contains({0: 1})
 
 
 class TestReduce:
@@ -102,56 +121,59 @@ class TestReduce:
         rng = random.Random(29)
         for _ in range(20):
             mat = random_matrix(rng, 5, 9, density=0.7)
-            space = RowSpace(mat, 9)
+            space = RowSpace(sparsify(mat), 9)
             coeffs = [rng.randint(-4, 4) for _ in mat]
             vec = [sum(c * row[k] for c, row in zip(coeffs, mat))
                    for k in range(9)]
-            assert space.contains(vec)
+            assert space.contains(dict(enumerate(vec)))
             outside = vec[:]
             free = [c for c in range(9) if c not in space.pivots]
             if free and space.rank < 9:
                 outside[free[0]] += 1
                 # adding a unit at a free column leaves the span exactly
                 # when that unit vector is itself in the span; rebuild
-                if RowSpace(mat + [outside], 9).rank > space.rank:
-                    assert not space.contains(outside)
+                if RowSpace(sparsify(mat + [outside]), 9).rank > space.rank:
+                    assert not space.contains(dict(enumerate(outside)))
 
     def test_residual_semantics(self):
-        mat = [[1, 2, 0], [0, 0, 5]]
-        space = RowSpace(mat, 3)
-        residual, alpha = space.reduce([3, 1, 7])
+        space = RowSpace([{0: 1, 1: 2}, {2: 5}], 3)
+        vec = {0: 3, 1: 1, 2: 7}
+        residual, alpha = space.reduce(vec)
         assert alpha >= 1
+        assert residual and all(type(x) is int and x
+                                for x in residual.values())
         # alpha*vec - residual must lie in the span
-        diff = [alpha * v - r for v, r in zip([3, 1, 7], residual)]
+        diff = {c: alpha * vec.get(c, 0) - residual.get(c, 0)
+                for c in range(3)}
         assert space.contains(diff)
-        assert residual[0] == 0  # pivot column cleared
+        assert not residual.keys() & set(space.pivots)  # pivots cleared
+        assert vec == {0: 3, 1: 1, 2: 7}  # the input is left as it was
 
     def test_combination_solves_small_system(self):
-        vecs = [[1, 0, 1], [0, 2, 1]]
+        vecs = [{0: 1, 2: 1}, {1: 2, 2: 1}]
         space = RowSpace(vecs, 3)
-        target = [3, -2, 2]  # 3*v0 - 1*v1
+        target = {0: 3, 1: -2, 2: 2}  # 3*v0 - 1*v1
         den, ks = space.combination(target)
         assert {i: Fraction(k, den) for i, k in ks.items()} == \
             {0: Fraction(3), 1: Fraction(-1)}
 
     def test_combination_none_for_nonmembers(self):
-        space = RowSpace([[0, 0, 1], [0, 0, 4], [0, 0, 0]], 3)
+        space = RowSpace([{2: 1}, {2: 4}, {}], 3)
         # the zero row and the duplicate record nothing
         assert space.rank == len(space._records) == 1
-        assert space.combination([0, 1, 0]) is None
+        assert space.combination({1: 1}) is None
         assert space.combination({0: 2, 2: 1}) is None
-        assert RowSpace([], 3).combination([0, 0, 1]) is None
+        assert RowSpace([], 3).combination({2: 1}) is None
         # the zero vector is the empty combination of any row set
-        assert space.combination([0, 0, 0]) == (1, {})
+        assert space.combination({0: 0, 1: 0}) == (1, {})
         assert RowSpace([], 3).combination({}) == (1, {})
 
 
 def recombined(rows, ncols, ks):
-    """sum k * rows[i], dense, for rows given dense or as dicts."""
+    """sum k * rows[i], dense, for {column: int} rows."""
     out = [0] * ncols
     for i, k in ks.items():
-        r = rows[i]
-        for c, x in (r.items() if isinstance(r, dict) else enumerate(r)):
+        for c, x in rows[i].items():
             out[c] += k * x
     return out
 
@@ -160,8 +182,7 @@ def assert_combination(space, rows, vec):
     """combination(vec) is None exactly for non-members, and otherwise
     den*vec is the integer recombination of the input rows."""
     got = space.combination(vec)
-    dense = vec if isinstance(vec, list) else \
-        [vec.get(c, 0) for c in range(space.ncols)]
+    dense = densify(vec, space.ncols)
     if not space.contains(vec):
         assert got is None
         return
@@ -184,27 +205,30 @@ class TestCombination:
             rows += [[rng.choice([-6, -2, 3, 10]) * x for x in r]
                      for r in rows[:2]]
             rng.shuffle(rows)
+            rows = sparsify(rows)
             space = RowSpace(rows, ncols)
             for _ in range(4):
                 ks = {i: rng.randint(-5, 5) for i in range(len(rows))}
                 assert_combination(space, rows,
-                                   recombined(rows, ncols, ks))
+                                   dict(enumerate(recombined(rows, ncols,
+                                                             ks))))
                 outside = [rng.randint(-3, 3) for _ in range(ncols)]
-                assert_combination(space, rows, outside)
+                assert_combination(space, rows, dict(enumerate(outside)))
 
     def test_large_contents_and_pivots_rescale(self):
         # rows whose contents and pivots share no factors, so unwinding
         # meets divisors that do not divide the coefficients
-        rows = [[6, 10, 15, 0], [4, 0, 9, 35], [0, 14, 21, 10],
-                [12, 20, 30, 0], [0, 0, 7, 11]]
+        rows = sparsify([[6, 10, 15, 0], [4, 0, 9, 35], [0, 14, 21, 10],
+                         [12, 20, 30, 0], [0, 0, 7, 11]])
         space = RowSpace(rows, 4)
         for ks in ({0: 1}, {1: 1}, {2: 1}, {4: 1}, {0: 3, 1: -2, 4: 5},
                    {1: 7, 2: 11}):
-            assert_combination(space, rows, recombined(rows, 4, ks))
+            assert_combination(space, rows,
+                               dict(enumerate(recombined(rows, 4, ks))))
 
 
 def test_rank_of():
-    assert rank_of([[1, 1], [2, 2], [0, 1]], 2) == 2
+    assert rank_of([{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1}], 2) == 2
 
 
 # -- the dense kernel, kept as the oracle of the sparse one -------------
@@ -260,12 +284,10 @@ class DenseRowSpace:
         self._pivot_of_col = {c: i for i, c in enumerate(self._pivots)}
 
     def _densify(self, r):
-        if isinstance(r, dict):
-            row = [0] * self.ncols
-            for c, v in r.items():
-                row[c] = int(v)
-            return row
-        return [int(v) for v in r]
+        row = [0] * self.ncols
+        for c, v in r.items():
+            row[c] = int(v)
+        return row
 
     def _leading(self, row, start=0):
         for k in range(start, len(row)):
@@ -351,34 +373,38 @@ class DenseRowSpace:
 
 
 def assert_matches_dense(rows, ncols, probes):
+    """RowSpace over {column: int} rows against the dense oracle: its
+    rows and residuals are densified before they are compared."""
     sparse = RowSpace(rows, ncols)
     dense = DenseRowSpace(rows, ncols)
     assert sparse.pivots == dense.pivots
-    assert sparse.rows == dense.rows
+    assert tuple(tuple(densify(r, ncols)) for r in sparse.rows) == dense.rows
     for vec in probes:
         residual, alpha = dense.reduce(vec)
-        assert sparse.reduce(vec) == (residual, alpha)
+        row, got_alpha = sparse.reduce(vec)
+        assert (densify(row, ncols), got_alpha) == (residual, alpha)
+        assert 0 not in row.values()
         assert sparse.contains(vec) == (not any(residual))
         assert_combination(sparse, rows, vec)
     return sparse
 
 
 def random_probes(rng, rows, ncols, count=6):
-    """Dense and dict vectors, half of them combinations of the rows."""
+    """Dict vectors, with and without zero entries, half of them
+    combinations of the rows."""
     probes = []
     for t in range(count):
         vec = [0] * ncols
         if t % 2 and rows:
             for r in rng.sample(rows, min(3, len(rows))):
                 c = rng.randint(-3, 3)
-                items = r.items() if isinstance(r, dict) else enumerate(r)
-                for k, x in items:
+                for k, x in r.items():
                     vec[k] += c * x
         else:
             for k in rng.sample(range(ncols), rng.randint(1, ncols)):
                 vec[k] = rng.randint(-7, 7)
-        probes.append(vec if t % 3 else {k: x for k, x in enumerate(vec)
-                                         if x})
+        probes.append(dict(enumerate(vec)) if t % 3 else
+                      {k: x for k, x in enumerate(vec) if x})
     return probes
 
 
@@ -394,7 +420,7 @@ def test_sparse_kernel_matches_dense_on_random_matrices():
         rows += [[2 * x for x in r] for r in rows[:1]]  # scaled duplicate
         rng.shuffle(rows)
         rows = [{k: x for k, x in enumerate(r) if x} if rng.random() < 0.5
-                else r for r in rows]
+                else dict(enumerate(r)) for r in rows]
         assert_matches_dense(rows, ncols, random_probes(rng, rows, ncols))
 
 
@@ -421,7 +447,7 @@ def assert_certifies_every_spanning_row(sl):
             break
         p = (Polynomial.from_monomial(u, n) * gens[gi]
              * Polynomial.from_monomial(v, n))
-        cert = sl.certificate_for(p)
+        cert = sl.certificate_for(p, sl.reduce(p, record=True))
         total = Polynomial.zero(n)
         for c, cu, cgi, cv in cert:
             total = total + (Polynomial.from_monomial(cu, n) * gens[cgi]

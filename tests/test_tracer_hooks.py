@@ -56,7 +56,8 @@ def test_counted_caches_are_module_level_and_sized():
 
 @pytest.mark.parametrize("workload,counters", [
     ("n3_symbolic", ("sigma.commpoly_ops",)),
-    ("member_stream", ("ring.add_calls", "ring.mul_calls")),
+    ("member_stream", ("ring.add_calls", "ring.mul_calls",
+                       "linalg.reduce_calls")),
 ])
 def test_traced_worker_counts_the_wrapped_operators(tmp_path, workload,
                                                     counters):

@@ -5,7 +5,10 @@
 with trusted constructors, so the checks here are twofold: every public
 constructor still rejects bad input (also under ``python -O``), and every
 arithmetic result is a value the validating constructor would have
-built, with the ring (or additive group) laws holding on it.
+built, with the ring (or additive group) laws holding on it.  The
+bad-input table also holds the rows ``linalg.RowSpace`` refuses: a
+row is a {column: int} dict, and a ``Fraction`` or ``float`` entry is
+refused rather than truncated.
 """
 
 import os
@@ -18,6 +21,7 @@ import pytest
 
 from sigmaforge import ring
 from sigmaforge.atoms import enumerate_atoms
+from sigmaforge.linalg import RowSpace
 from sigmaforge.n3lab import SReduced
 from sigmaforge.rewrite import AtomExpression
 from sigmaforge.ring import ONE, Monomial, Polynomial, parse_poly
@@ -75,6 +79,17 @@ BAD_INPUTS = [
     ("sreduced_entry_wrong_arity",
      lambda: SReduced(CommPoly.variable(1, 3), 0, 0), ValueError),
     ("sreduced_entry_not_commpoly", lambda: SReduced("s1", 0, 0),
+     ValueError),
+    ("rowspace_fraction_entry",
+     lambda: RowSpace([{0: Fraction(1, 2), 1: 1}], 2), TypeError),
+    ("rowspace_float_entry", lambda: RowSpace([{0: 0.5}, {1: 1}], 2),
+     TypeError),
+    ("rowspace_integral_fraction_entry",
+     lambda: RowSpace([{0: Fraction(2)}], 2), TypeError),
+    ("rowspace_reduce_fraction_entry",
+     lambda: RowSpace([{0: 1}], 2).reduce({1: Fraction(1, 2)}), TypeError),
+    ("rowspace_dense_row", lambda: RowSpace([[1, 0]], 2), TypeError),
+    ("rowspace_column_out_of_range", lambda: RowSpace([{2: 1}], 2),
      ValueError),
 ]
 
