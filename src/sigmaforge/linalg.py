@@ -9,7 +9,10 @@ order.  The structured matrices handled here are very sparse (a
 canonical row of the n=5 degree-5 ideal slice holds 123 of 3125 entries
 on average), so elimination and normalization visit the nonzero entries
 only, after the structured elimination of LaMacchia and Odlyzko (CRYPTO
-1990) carried over to exact integers.
+1990) carried over to exact integers.  As there, only a row's leading
+column decides when it goes in: rows are inserted by descending leading
+column, so a row whose leading column is still free becomes a pivot
+with no elimination.
 
 Every stored row keeps the record of the eliminations that shaped it,
 so a vector of the span can be written as an integer combination of the
@@ -42,36 +45,28 @@ def _content_normalize(row, lead):
     return g
 
 
-def _dense_order_key(row):
-    """Sort key ordering sparse rows as their dense vectors compare.
-
-    At the first column where two rows differ, a present entry beats an
-    absent one exactly when it is positive, and the sentinel ``(0,)``
-    (the row has ended) sits between the negative and positive entries.
-    """
-    return tuple([(1, -c, x) if x > 0 else (-1, c, x)
-                  for c, x in sorted(row.items())] + [(0,)])
-
-
 class RowSpace:
     """Canonical echelon basis of the span of integer rows.
 
-    Each of ``rows`` is a {column: int} dict with columns in
-    ``range(ncols)``; an entry that is not an ``int`` (a ``Fraction`` or
-    a ``float``) raises TypeError, and zero entries are dropped.  For each
-    stored row, keyed by its pivot column, ``_records`` holds one tuple
-    ``(order, index, content, mult, div, steps, bmult, bdiv, bsteps)``
-    of integers and two flat tuples of pairs.  The first six describe
-    insertion: input row ``index``, divided by its signed ``content``,
-    was the ``order``-th distinct row inserted, and the row stored then
-    was
+    Each of ``rows`` is a {column: int} dict with ``int`` columns in
+    ``range(ncols)``; a column or an entry that is not an ``int`` (a
+    ``Fraction`` or a ``float``) raises TypeError, and zero entries are
+    dropped.  The nonzero rows go in by descending leading column, and
+    among rows that lead at the same column the later input goes first,
+    so a row whose leading column has no pivot yet becomes one with no
+    elimination.
 
-        (mult * input/content - sum f * (row stored then at col q)) / div
+    For each stored row, keyed by its pivot column, ``_records`` holds
+    one tuple ``(index, mult, div, steps, bmult, bdiv, bsteps)`` of
+    integers and two flat tuples of pairs.  The first four describe
+    insertion: the row stored from input row ``index`` was
 
-    over the pairs ``steps = (q, f, q, f, ...)``.  The last three
-    describe back-substitution the same way: the final row is
-    ``(bmult * inserted row - sum f * (final row at q)) / bdiv``, with
-    every q a later pivot.
+        (mult * input - sum f * (row stored then at col q)) / div
+
+    over the pairs ``steps = (q, f, q, f, ...)``, with every q left of
+    its pivot.  The last three describe back-substitution the same way:
+    the final row is ``(bmult * inserted row - sum f * (final row at
+    q)) / bdiv``, with every q a later pivot.
     """
 
     __slots__ = ("ncols", "_rows", "_pivots", "_pivot_of_col", "_records")
@@ -80,26 +75,20 @@ class RowSpace:
         if ncols < 0:
             raise ValueError("ncols must be >= 0")
         self.ncols = ncols
-        distinct = {}
+        pending = []
         for index, r in enumerate(rows):
             row = self._sparse(r)
             if row:
-                content = _content_normalize(row, min(row))
-                distinct.setdefault(_dense_order_key(row),
-                                    (row, index, content))
+                pending.append((row, index))
+        # popped from the end, so the largest leading column goes first.
+        # Nothing else holds a row once it is popped, so a dependent row
+        # is freed as soon as it reduces to zero, and back-substitution
+        # frees each stored row it replaces.
+        pending.sort(key=lambda item: min(item[0]))
         self._pivot_of_col = {}
         self._records = {}
-        # fixed insertion order (the dense-lexicographic order of the
-        # normalized rows): it decides which combination the records of
-        # a stored row describe.  Nothing else holds a row once it is
-        # popped, so a dependent row is freed as soon as it reduces to
-        # zero, and back-substitution frees each stored row it replaces.
-        pending = [distinct[key] for key in sorted(distinct, reverse=True)]
-        del distinct
-        order = 0
         while pending:
-            self._insert(order, *pending.pop())
-            order += 1
+            self._insert(*pending.pop())
         self._pivots = sorted(self._pivot_of_col)
         self._rows = [self._pivot_of_col[c] for c in self._pivots]
         self._back_substitute()
@@ -110,6 +99,8 @@ class RowSpace:
             raise TypeError("a row is a {column: int} dict")
         row = {}
         for c, v in r.items():
+            if not isinstance(c, int):
+                raise TypeError(f"column {c!r} is not an int")
             if not 0 <= c < self.ncols:
                 raise ValueError(f"column {c} out of range")
             if not isinstance(v, int):
@@ -118,7 +109,7 @@ class RowSpace:
                 row[c] = int(v)
         return row
 
-    def _insert(self, order, row, index, content):
+    def _insert(self, row, index):
         heap = sorted(row)
         steps = [1]
         while heap:
@@ -129,8 +120,7 @@ class RowSpace:
             if piv is None:
                 div = _content_normalize(row, j)
                 self._pivot_of_col[j] = row
-                self._records[j] = (order, index, content, steps[0], div,
-                                    tuple(steps[1:]))
+                self._records[j] = (index, steps[0], div, tuple(steps[1:]))
                 return
             self._eliminate(row, piv, j, steps, heap)
 
@@ -214,7 +204,7 @@ class RowSpace:
         inputs that were independent when inserted, which span the same
         space."""
         records = self._records
-        return tuple(records[p][1] for p in self._pivots)
+        return tuple(records[p][0] for p in self._pivots)
 
     @property
     def rows(self) -> tuple:
@@ -245,10 +235,13 @@ class RowSpace:
         Returns None when ``vec`` is not in the span, and otherwise
         (den, {index: k}) with den > 0 and den*vec = sum k * rows[index],
         where ``rows`` is the sequence given to the constructor.  The
-        records are unwound in integer arithmetic: final rows into
-        inserted rows by ascending pivot, then inserted rows into input
-        rows in reverse insertion order.  A divisor that does not divide
-        a coefficient rescales the whole combination, and ``den``.
+        records are unwound in integer arithmetic by one substitution,
+        run twice: final rows into inserted rows by ascending pivot,
+        since back-substitution refers only to later pivots, then
+        inserted rows into input rows by descending pivot, since
+        insertion eliminates only left of the pivot a row ends on.  A
+        divisor that does not divide a coefficient rescales the whole
+        combination, and ``den``.
         """
         steps = [1]
         row, den = self.reduce(vec, steps)
@@ -262,60 +255,42 @@ class RowSpace:
         records = self._records
         final = dict(zip(steps[1::2], steps[2::2]))
         inserted = {}
-        out = {}
+        used = {}
 
-        def exact(x, div):
-            """x / div, after scaling the whole combination, x (not yet
-            added to it) included, by the least factor that makes the
-            division exact."""
+        def substitute(part, into, sign, at):
+            """Move ``part``, a combination of rows keyed by pivot, into
+            ``into`` through the (mult, div, pairs) at ``records[p][at:]``,
+            taking pivots in the order of ``sign * p``."""
             nonlocal den
-            s = abs(div) // math.gcd(x, div)
-            if s != 1:
-                den *= s
-                for part in (final, inserted, out):
-                    for k in part:
-                        part[k] *= s
-                x *= s
-            return x // div
+            heap = [sign * p for p in part]
+            heapq.heapify(heap)
+            while heap:
+                p = sign * heapq.heappop(heap)
+                c = part.pop(p)
+                if not c:
+                    continue
+                mult, div, pairs = records[p][at:at + 3]
+                s = abs(div) // math.gcd(c, div)
+                if s != 1:
+                    # the least rescaling that makes c / div exact
+                    den *= s
+                    c *= s
+                    for whole in (part, into):
+                        for k in whole:
+                            whole[k] *= s
+                c //= div
+                for t in range(0, len(pairs), 2):
+                    q = pairs[t]
+                    if q in part:
+                        part[q] -= c * pairs[t + 1]
+                    else:
+                        part[q] = -c * pairs[t + 1]
+                        heapq.heappush(heap, sign * q)
+                into[p] = c * mult
 
-        heap = sorted(final)
-        while heap:
-            p = heapq.heappop(heap)
-            c = final.pop(p)
-            if not c:
-                continue
-            _, _, _, _, _, _, mult, div, pairs = records[p]
-            if div != 1:
-                c = exact(c, div)
-            inserted[p] = c * mult
-            for t in range(0, len(pairs), 2):
-                q = pairs[t]
-                if q in final:
-                    final[q] -= c * pairs[t + 1]
-                else:
-                    final[q] = -c * pairs[t + 1]
-                    heapq.heappush(heap, q)
-
-        heap = [(-records[p][0], p) for p in inserted]
-        heapq.heapify(heap)
-        while heap:
-            p = heapq.heappop(heap)[1]
-            e = inserted.pop(p)
-            if not e:
-                continue
-            _, index, content, mult, div, pairs, _, _, _ = records[p]
-            if div != 1:
-                e = exact(e, div)
-            for t in range(0, len(pairs), 2):
-                q = pairs[t]
-                if q in inserted:
-                    inserted[q] -= e * pairs[t + 1]
-                else:
-                    inserted[q] = -e * pairs[t + 1]
-                    heapq.heappush(heap, (-records[q][0], q))
-            e *= mult
-            out[index] = exact(e, content) if content != 1 else e
-        return den, out
+        substitute(final, inserted, 1, 4)
+        substitute(inserted, used, -1, 1)
+        return den, {records[p][0]: k for p, k in used.items()}
 
     def __eq__(self, other):
         return (isinstance(other, RowSpace)
@@ -326,6 +301,3 @@ class RowSpace:
         return hash((self.ncols,
                      tuple(frozenset(r.items()) for r in self._rows)))
 
-
-def rank_of(rows, ncols: int) -> int:
-    return RowSpace(rows, ncols).rank

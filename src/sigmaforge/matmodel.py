@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import rank_of
+from .linalg import RowSpace
 
 FAMILIES = ("commuting", "conj-cyclic", "block-triangular", "dense")
 
@@ -65,7 +65,7 @@ def mat_rank(m) -> int:
     for row in m:
         scale = math.lcm(*(x.denominator for x in row))
         rows.append({c: int(x * scale) for c, x in enumerate(row) if x})
-    return rank_of(rows, len(m[0]) if m else 0)
+    return RowSpace(rows, len(m[0]) if m else 0).rank
 
 
 @dataclass(frozen=True)

@@ -170,8 +170,8 @@ def test_corrupted_record_raises_under_optimize():
         p = gset.gens[0] * parse_poly("x2", 3)
         records = sl.space._records
         for col, rec in records.items():
-            # flip the sign of every input's content factor
-            records[col] = rec[:2] + (-rec[2],) + rec[3:]
+            # flip the sign of every insertion multiplier
+            records[col] = rec[:1] + (-rec[1],) + rec[2:]
         ideal.member(p, gset, certify=True)
         print("no error")
     """)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sigmaforge import ideal
-from sigmaforge.linalg import RowSpace, rank_of
+from sigmaforge.linalg import RowSpace
 from sigmaforge.ring import Polynomial
 
 
@@ -226,9 +226,24 @@ class TestCombination:
             assert_combination(space, rows,
                                dict(enumerate(recombined(rows, 4, ks))))
 
+    def test_later_row_with_the_same_leading_column_goes_in_first(self):
+        # row 0 leads at column 1 and has content 2, rows 1 and 2 lead at
+        # column 0, and row 2 = row 1 + row 0 / 2.  Row 0 goes in first
+        # (the largest leading column), then row 2 (the later of the two
+        # at column 0), and row 1 reduces to zero.  Plain reverse input
+        # order would keep rows 2 and 1, and the order of the
+        # content-normalized dense vectors rows 1 and 0.
+        rows = [{1: 2, 2: 2}, {0: 1, 1: 1}, {0: 1, 1: 2, 2: 1}]
+        space = RowSpace(rows, 3)
+        assert space.rows == ({0: 1, 2: -1}, {1: 1, 2: 1})
+        assert space.sources == (2, 0)
+        for vec in rows:
+            assert_combination(space, rows, vec)
+        assert space.combination(rows[1]) == (2, {0: -1, 2: 2})
+
 
 def test_rank_of():
-    assert rank_of([{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1}], 2) == 2
+    assert RowSpace([{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1}], 2).rank == 2
 
 
 # -- the dense kernel, kept as the oracle of the sparse one -------------
@@ -258,8 +273,9 @@ def _dense_content_normalize(row, start=0):
 
 class DenseRowSpace:
     """The dense integer elimination RowSpace used before rows became
-    sparse: same insertion order, same gcd scaling, every column
-    visited."""
+    sparse: content-normalized rows, deduplicated and inserted in
+    ascending dense order (not the sparse kernel's order by leading
+    column), the same gcd scaling, every column visited."""
 
     def __init__(self, rows, ncols):
         self.ncols = ncols

@@ -7,8 +7,8 @@ constructor still rejects bad input (also under ``python -O``), and every
 arithmetic result is a value the validating constructor would have
 built, with the ring (or additive group) laws holding on it.  The
 bad-input table also holds the rows ``linalg.RowSpace`` refuses: a
-row is a {column: int} dict, and a ``Fraction`` or ``float`` entry is
-refused rather than truncated.
+row is a {column: int} dict with ``int`` columns, and a ``Fraction`` or
+``float`` entry is refused rather than truncated.
 """
 
 import os
@@ -91,6 +91,10 @@ BAD_INPUTS = [
     ("rowspace_dense_row", lambda: RowSpace([[1, 0]], 2), TypeError),
     ("rowspace_column_out_of_range", lambda: RowSpace([{2: 1}], 2),
      ValueError),
+    ("rowspace_fraction_column", lambda: RowSpace([{0.5: 1}, {1: 2}], 2),
+     TypeError),
+    ("rowspace_integral_float_column", lambda: RowSpace([{1.0: 1}], 2),
+     TypeError),
 ]
 
 
