@@ -18,8 +18,9 @@ import json
 import os
 import sys
 
-from . import atoms as atoms_mod
-from . import cyclic, ideal, matmodel, n3lab, rewrite
+# atoms, rewrite, n3lab and matmodel are imported by the commands that
+# use them, so a cold ``verify`` or ``member`` process does not load them
+from . import cyclic, ideal
 from .ring import parse_monomial, parse_poly, render_monomial, render_poly
 from .sigma import build_sigma
 
@@ -83,6 +84,8 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    from . import atoms as atoms_mod
+
     _require_arity(args.n)
     m = parse_monomial(args.monomial, args.n)
     factors = [render_monomial(a) for a in atoms_mod.factor_atoms(m, args.n)]
@@ -96,6 +99,8 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_atoms(args) -> int:
+    from . import atoms as atoms_mod
+
     _require_arity(args.n)
     if args.degree < 1:
         raise ValueError("degree must be positive")
@@ -112,6 +117,8 @@ def _cmd_atoms(args) -> int:
 
 
 def _cmd_rewrite(args) -> int:
+    from . import rewrite
+
     _require_arity(args.n)
     p = parse_poly(args.polynomial, args.n)
     expr = rewrite.rewrite_invariant(p)
@@ -151,6 +158,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_n3_reduce(args) -> int:
+    from . import n3lab
+
     p = parse_poly(args.polynomial, 3)
     sr = n3lab.reduce_to_S_form(p, certify=not args.no_certify,
                                 max_degree=args.max_degree)
@@ -164,6 +173,8 @@ def _cmd_n3_reduce(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import matmodel
+
     _require_arity(args.n)
     report = matmodel.zero_divisor_search(
         {"n": args.n, "dim": args.dim, "family": args.family,
@@ -189,6 +200,17 @@ def _cmd_search(args) -> int:
         if report["budget_exhausted"]:
             print("budget exhausted")
     return 0
+
+
+class _Families:
+    """``matmodel.FAMILIES`` as the choices of ``search --family``,
+    read only when argparse checks a value or formats the help, so that
+    building the parser does not import matmodel."""
+
+    def __iter__(self):
+        from .matmodel import FAMILIES
+
+        return iter(FAMILIES)
 
 
 def _output_parent(default) -> argparse.ArgumentParser:
@@ -268,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded zero-divisor search over matrix tuples")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--family", choices=matmodel.FAMILIES, required=True)
+    # choices set after add_argument, which formats them to check the
+    # metavar
+    p.add_argument("--family", required=True).choices = _Families()
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--jobs", type=int, default=_default_jobs(),

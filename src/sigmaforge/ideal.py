@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import cyclic
 from .linalg import RowSpace
@@ -177,14 +175,36 @@ def _row(gcode, n: int, col, cu: int, cv: int, s: int) -> dict:
     return {col[base + cm * vshift]: c for cm, c in gterms}
 
 
-class _Reduction(NamedTuple):
+class _Record:
+    """A record of the fields named by ``__slots__``; two records are
+    equal when their classes and fields are."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._values()!r}"
+
+
+class _Reduction(_Record):
     """p reduced by a slice: alpha*scale*p - (combination of stored
     rows) = row, with scale*p integer; ``steps`` records the combination
     when it was asked for."""
-    scale: int
-    row: dict
-    alpha: int
-    steps: list | None
+
+    __slots__ = ("scale", "row", "alpha", "steps")
+
+    def __init__(self, scale, row, alpha, steps):
+        self.scale = scale
+        self.row = row
+        self.alpha = alpha
+        self.steps = steps
 
 
 class DegreeSlice:
@@ -412,11 +432,17 @@ def quotient_dim(n: int, degree: int, gset=None) -> int:
     return degree_slice(gset, degree).quotient_dim
 
 
-@dataclass(frozen=True)
-class MemberResult:
-    member: bool
-    residuals: dict  # degree -> nonzero residual Polynomial
-    certificate: list | None  # [(coeff, u, gen_index, v)] when requested
+class MemberResult(_Record):
+    """``member``, then ``residuals`` (degree -> nonzero residual
+    Polynomial), then ``certificate`` ([(coeff, u, gen_index, v)] when
+    requested, else None)."""
+
+    __slots__ = ("member", "residuals", "certificate")
+
+    def __init__(self, member, residuals, certificate):
+        self.member = member
+        self.residuals = residuals
+        self.certificate = certificate
 
     def __bool__(self):
         return self.member

@@ -14,13 +14,23 @@ column decides when it goes in: rows are inserted by descending leading
 column, so a row whose leading column is still free becomes a pivot
 with no elimination.
 
+A built ``RowSpace`` holds its rows in echelon form.  A row is
+back-substituted into its canonical form only when something first
+needs it, and once: ``RowSpace.reduce`` finishes each row just before
+it eliminates with it, and ``rows``, ``==`` and ``hash`` finish them
+all.  A slice that answers a few membership queries so finishes only
+the rows those reductions touch (at n=5 degree 5, ``verify
+factored_coeffs`` finishes 148 of 2018), and every elimination still
+runs against a finished row, so every result is the one a fully
+reduced basis gives.
+
 Every stored row keeps the record of the eliminations that shaped it,
 so a vector of the span can be written as an integer combination of the
 input rows (``RowSpace.combination``) without a tag column per input:
 the product form of the inverse (Dantzig and Orchard-Hays, 1954).  An
 input that reduces to zero records nothing.  ``RowSpace.reduce`` is the
-one reduction against a finished basis: membership and combinations
-are read off it.
+one reduction against the basis: membership and combinations are read
+off it.
 """
 
 from __future__ import annotations
@@ -57,19 +67,24 @@ class RowSpace:
     elimination.
 
     For each stored row, keyed by its pivot column, ``_records`` holds
-    one tuple ``(index, mult, div, steps, bmult, bdiv, bsteps)`` of
-    integers and two flat tuples of pairs.  The first four describe
-    insertion: the row stored from input row ``index`` was
+    one tuple ``(index, mult, div, steps)`` of integers and a flat tuple
+    of pairs, which describes insertion: the row stored from input row
+    ``index`` was
 
         (mult * input - sum f * (row stored then at col q)) / div
 
     over the pairs ``steps = (q, f, q, f, ...)``, with every q left of
-    its pivot.  The last three describe back-substitution the same way:
-    the final row is ``(bmult * inserted row - sum f * (final row at
-    q)) / bdiv``, with every q a later pivot.
+    its pivot.  A row stays in that echelon form, and its pivot in
+    ``_unfinished``, until it is finished; finishing appends
+    ``(bmult, bdiv, bsteps)``, which describe back-substitution the same
+    way: the final row is ``(bmult * inserted row - sum f * (final row
+    at q)) / bdiv``, with every q a later pivot.  So a record has four
+    fields until its row is finished and seven after.  ``_rows`` lists
+    the current rows by pivot, echelon or final.
     """
 
-    __slots__ = ("ncols", "_rows", "_pivots", "_pivot_of_col", "_records")
+    __slots__ = ("ncols", "_rows", "_pivots", "_pivot_of_col", "_records",
+                 "_unfinished")
 
     def __init__(self, rows, ncols: int):
         if ncols < 0:
@@ -82,8 +97,8 @@ class RowSpace:
                 pending.append((row, index))
         # popped from the end, so the largest leading column goes first.
         # Nothing else holds a row once it is popped, so a dependent row
-        # is freed as soon as it reduces to zero, and back-substitution
-        # frees each stored row it replaces.
+        # is freed as soon as it reduces to zero, and finishing frees
+        # each stored row it replaces.
         pending.sort(key=lambda item: min(item[0]))
         self._pivot_of_col = {}
         self._records = {}
@@ -91,7 +106,8 @@ class RowSpace:
             self._insert(*pending.pop())
         self._pivots = sorted(self._pivot_of_col)
         self._rows = [self._pivot_of_col[c] for c in self._pivots]
-        self._back_substitute()
+        # pivot -> position in _rows of every row not yet finished
+        self._unfinished = {c: pos for pos, c in enumerate(self._pivots)}
 
     def _sparse(self, r):
         """A checked copy of the row ``r`` without its zero entries."""
@@ -99,14 +115,18 @@ class RowSpace:
             raise TypeError("a row is a {column: int} dict")
         row = {}
         for c, v in r.items():
-            if not isinstance(c, int):
-                raise TypeError(f"column {c!r} is not an int")
+            if type(c) is not int:
+                if not isinstance(c, int):
+                    raise TypeError(f"column {c!r} is not an int")
+                c = int(c)  # a bool, or another int subclass
             if not 0 <= c < self.ncols:
                 raise ValueError(f"column {c} out of range")
-            if not isinstance(v, int):
-                raise TypeError(f"entry {v!r} at column {c} is not an int")
+            if type(v) is not int:
+                if not isinstance(v, int):
+                    raise TypeError(f"entry {v!r} at column {c} is not an int")
+                v = int(v)
             if v:
-                row[c] = int(v)
+                row[c] = v
         return row
 
     def _insert(self, row, index):
@@ -167,26 +187,46 @@ class RowSpace:
 
         Eliminating against a fully reduced row never creates an entry
         in another pivot column, so this is exactly the list of columns
-        a reduction against the finished basis visits.
+        a reduction visits, since it finishes each row it eliminates
+        with first.
         """
         return sorted(c for c in row if c in self._pivot_of_col)
 
-    def _back_substitute(self):
+    def _finish(self, j=None):
+        """Back-substitute the row at pivot ``j``, or every unfinished
+        row when ``j`` is None, into its canonical form.
+
+        A row is reduced against the final rows at the other pivot
+        columns it holds, all later than its own, so the unfinished
+        rows it depends on, and theirs in turn, are finished first:
+        by descending pivot, each of them once.
+        """
+        unfinished = self._unfinished
+        pivot_of_col = self._pivot_of_col
+        if j is None:
+            todo = set(unfinished)
+        else:
+            todo = {j}
+            stack = [j]
+            while stack:
+                for q in pivot_of_col[stack.pop()]:
+                    if q in unfinished and q not in todo:
+                        todo.add(q)
+                        stack.append(q)
         records = self._records
         rows = self._rows
-        for pos in range(len(rows) - 1, -1, -1):
-            own = self._pivots[pos]
-            row = rows[pos]
+        for own in sorted(todo, reverse=True):
+            row = pivot_of_col[own]
             steps = [1]
-            for j in self._pivots_in(row):
-                if j != own:
-                    self._eliminate(row, self._pivot_of_col[j], j, steps)
+            for q in self._pivots_in(row):
+                if q != own:
+                    self._eliminate(row, pivot_of_col[q], q, steps)
             div = _content_normalize(row, own)
             records[own] += (steps[0], div, tuple(steps[1:]))
             # a row that grew and shrank while it was eliminated keeps an
             # oversized table; a fresh dict holds the same entries in
             # about two thirds of the memory on the larger slices
-            rows[pos] = self._pivot_of_col[own] = dict(row.items())
+            rows[unfinished.pop(own)] = pivot_of_col[own] = dict(row.items())
 
     # -- public surface ----------------------------------------------
 
@@ -209,6 +249,7 @@ class RowSpace:
     @property
     def rows(self) -> tuple:
         """The canonical rows by pivot, as {column: int} copies."""
+        self._finish()
         return tuple(dict(r) for r in self._rows)
 
     def reduce(self, vec, steps=None):
@@ -222,8 +263,12 @@ class RowSpace:
         """
         row = self._sparse(vec)
         alpha = 1
+        unfinished = self._unfinished
+        pivot_of_col = self._pivot_of_col
         for j in self._pivots_in(row):
-            alpha *= self._eliminate(row, self._pivot_of_col[j], j, steps)
+            if j in unfinished:
+                self._finish(j)
+            alpha *= self._eliminate(row, pivot_of_col[j], j, steps)
         return row, alpha
 
     def contains(self, vec) -> bool:
@@ -293,11 +338,14 @@ class RowSpace:
         return den, {records[p][0]: k for p, k in used.items()}
 
     def __eq__(self, other):
-        return (isinstance(other, RowSpace)
-                and self.ncols == other.ncols
-                and self._rows == other._rows)
+        if not (isinstance(other, RowSpace) and self.ncols == other.ncols):
+            return False
+        self._finish()
+        other._finish()
+        return self._rows == other._rows
 
     def __hash__(self):
+        self._finish()
         return hash((self.ncols,
                      tuple(frozenset(r.items()) for r in self._rows)))
 

@@ -1,6 +1,11 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from sigmaforge import cli
 from sigmaforge.ideal import difference_generators
@@ -203,3 +208,27 @@ def test_jobs_is_a_search_option_only(capsys):
 def test_missing_command_is_usage_error(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()
+
+
+def test_verify_does_not_import_the_other_commands_modules():
+    """A cold ``verify`` process loads only what the check needs: not the
+    modules of the other commands, and not ``dataclasses``."""
+    script = textwrap.dedent("""
+        import sys
+
+        before = set(sys.modules)
+        import sigmaforge.cli
+
+        code = sigmaforge.cli.main(
+            ["verify", "thm_1_1", "--n", "3", "--output", "json"])
+        names = ("sigmaforge.n3lab", "sigmaforge.matmodel",
+                 "sigmaforge.rewrite", "sigmaforge.atoms", "dataclasses")
+        print(code, sorted(m for m in names
+                           if m in sys.modules and m not in before))
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

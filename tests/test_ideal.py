@@ -317,3 +317,25 @@ def test_thm_1_1_at_north_star_degrees(n, top, dims):
         witness = units[d - 2]["witness"]
         assert witness["rank_commutators"] == n ** d - q
         assert witness["rank_differences"] == n ** d - q
+
+
+def test_slices_finish_only_the_rows_their_queries_touch():
+    """A slice back-substitutes a stored row only when a reduction uses
+    it or its canonical rows are compared: the four degree-5 queries of
+    factored_coeffs at n=5 touch few rows, and thm_1_1's span
+    comparisons finish every row of the slices they compare."""
+    ideal.clear_caches()
+    comm = commutator_generators(5)
+    run_check("factored_coeffs", 5)
+    space = degree_slice(comm, 5).space
+    finished = space.rank - len(space._unfinished)
+    assert 0 < finished < space.rank / 4
+    assert all(len(rec) == (4 if c in space._unfinished else 7)
+               for c, rec in space._records.items())
+    run_check("thm_1_1", 5)
+    for d in range(2, ideal.default_degree_bound(5) + 1):
+        for gset in (comm, difference_generators(5)):
+            space = degree_slice(gset, d).space
+            assert not space._unfinished
+            assert all(len(rec) == 7 for rec in space._records.values())
+    ideal.clear_caches()

@@ -86,6 +86,16 @@ class TestAgainstFractionOracle:
         assert type(space.rows[0][0]) is int
         assert space.contains({0: -True, 1: -2})
 
+    def test_bool_column_is_stored_as_int(self):
+        space = RowSpace([{True: 3}], 2)
+        assert space.pivots == (1,)
+        assert space.rows == ({1: 1},)
+        assert all(type(c) is int for c in space.pivots)
+        assert all(type(c) is int for c in space.rows[0])
+        row, alpha = space.reduce({False: 2, True: 5})
+        assert (row, alpha) == ({0: 2}, 1)
+        assert all(type(c) is int for c in row)
+
 
 class TestCanonicality:
     def test_order_and_scaling_invariance(self):
@@ -240,6 +250,82 @@ class TestCombination:
         for vec in rows:
             assert_combination(space, rows, vec)
         assert space.combination(rows[1]) == (2, {0: -1, 2: 2})
+
+
+class TestFinishingOnDemand:
+    """A row is back-substituted only when a reduction or a query of the
+    canonical rows needs it; every answer is the same whatever the
+    order of the queries."""
+
+    @staticmethod
+    def answers(space, probes):
+        """For each probe: its residual items and alpha, its recorded
+        steps and its combination."""
+        out = []
+        for vec in probes:
+            steps = [1]
+            row, alpha = space.reduce(vec, steps)
+            out.append((list(row.items()), alpha, steps,
+                        space.combination(vec)))
+        return out
+
+    @staticmethod
+    def canonical(space):
+        return [list(r.items()) for r in space.rows]
+
+    def test_query_order_does_not_change_any_result(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            ncols = rng.randint(1, 14)
+            rows = random_matrix(rng, rng.randint(0, 12), ncols,
+                                 density=rng.choice([0.15, 0.4, 0.8]),
+                                 lo=-rng.choice([1, 4, 9]), hi=9)
+            rows += [list(r) for r in rng.sample(rows, len(rows) // 3)]
+            rows = sparsify(rows)
+            probes = random_probes(rng, rows, ncols)
+            # reductions first, then the canonical rows
+            lazy = RowSpace(rows, ncols)
+            lazy_answers = self.answers(lazy, probes)
+            assert all(len(rec) == (4 if c in lazy._unfinished else 7)
+                       for c, rec in lazy._records.items())
+            lazy_rows = self.canonical(lazy)
+            # the canonical rows first, then the reductions
+            eager = RowSpace(rows, ncols)
+            eager_rows = self.canonical(eager)
+            assert not eager._unfinished
+            assert lazy_answers == self.answers(eager, probes)
+            assert lazy_rows == eager_rows
+            assert lazy._records == eager._records
+            assert all(len(rec) == 7 for rec in lazy._records.values())
+            # the probes in reverse, one at a time on fresh spaces
+            for vec, want in zip(probes[::-1], lazy_answers[::-1]):
+                assert self.answers(RowSpace(rows, ncols), [vec]) == [want]
+
+    def test_a_reduction_finishes_only_the_rows_it_needs(self):
+        # four rows in echelon form: the row at pivot 0 holds the pivot
+        # column 1, and the rows at 1 and 2 hold the pivot column 3
+        space = RowSpace([{0: 1, 1: 1}, {1: 1, 3: 1}, {2: 1, 3: 2},
+                          {3: 1, 4: 1}], 5)
+        assert space.pivots == (0, 1, 2, 3)
+        assert set(space._unfinished) == {0, 1, 2, 3}
+        assert space.reduce({3: 2}) == ({4: -2}, 1)
+        assert set(space._unfinished) == {0, 1, 2}
+        # finishing pivot 0 finishes pivot 1 first; pivot 2 is untouched
+        assert space.reduce({0: 1}) == ({4: -1}, 1)
+        assert set(space._unfinished) == {2}
+        assert len(space._records[2]) == 4
+        assert space._rows == [{0: 1, 4: 1}, {1: 1, 4: -1}, {2: 1, 3: 2},
+                               {3: 1, 4: 1}]
+        assert space.rows[2] == {2: 1, 4: -2}
+        assert not space._unfinished
+
+    def test_equality_and_hash_finish_every_row(self):
+        rows = [{0: 2, 1: 4, 2: 6}, {1: 10, 2: 5}]
+        a = RowSpace(rows, 3)
+        b = RowSpace(rows[::-1], 3)
+        assert a == b and a._unfinished == {} and b._unfinished == {}
+        c = RowSpace(rows, 3)
+        assert hash(c) == hash(a) and not c._unfinished
 
 
 def test_rank_of():
