@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclic import CyclicShift, act, orbit
-from .ring import Monomial, ONE
+from .ring import InternalError, Monomial, ONE
 
 
 def is_orbit_max(m: Monomial, n: int) -> bool:
@@ -120,10 +120,10 @@ def factor_atoms(m: Monomial, n: int) -> list:
         word = tuple((c - 1 + shift) % n + 1 for c in seg)
         atom = Monomial(word, (1,) * len(word))
         if not is_atom(atom, n):
-            raise AssertionError(f"cut produced a non-atom from {rep}")
+            raise InternalError(f"cut produced a non-atom from {rep}")
         factors.append(atom)
     if semigroup_product(factors, n) != rep:
-        raise AssertionError(f"factorization failed to multiply back: {rep}")
+        raise InternalError(f"factorization failed to multiply back: {rep}")
     return factors
 
 

@@ -6,8 +6,9 @@ JSON line per check unit with the fixed key order
 {check, n, degree, status, witness}; identical argv and seed always
 produce byte-identical output.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
-or input error. Arities below three are rejected up front; the whole
+Exit codes: 0 all checks passed, 1 at least one check failed or an
+internal invariant broke (``internal error:`` on stderr), 2 usage or
+input error. Arities below three are rejected up front; the whole
 calculus here rests on the standing assumption n >= 3.
 """
 
@@ -21,7 +22,8 @@ import sys
 # atoms, rewrite, n3lab and matmodel are imported by the commands that
 # use them, so a cold ``verify`` or ``member`` process does not load them
 from . import cyclic, ideal
-from .ring import parse_monomial, parse_poly, render_monomial, render_poly
+from .ring import (InternalError, parse_monomial, parse_poly,
+                   render_monomial, render_poly)
 from .sigma import build_sigma
 
 VERIFY_NAMES = tuple(ideal.CHECKS) + ("n3",)
@@ -139,15 +141,11 @@ def _cmd_member(args) -> int:
     units = []
     for d in sorted(p.homogeneous_components()):
         bad = res.residuals.get(d)
-        units.append({
-            "check": "member", "n": args.n, "degree": d,
-            "status": "pass" if bad is None else "fail",
-            "witness": {"residual": render_poly(bad)} if bad is not None
-            else {"member": True},
-        })
+        units.append(ideal._unit("member", args.n, d, bad is None, (
+            {"member": True} if bad is None
+            else {"residual": render_poly(bad)})))
     if not units:  # zero polynomial
-        units.append({"check": "member", "n": args.n, "degree": 0,
-                      "status": "pass", "witness": {"member": True}})
+        units.append(ideal._unit("member", args.n, 0, True, {"member": True}))
     return _emit_units(units, args.output)
 
 
@@ -313,6 +311,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     except AssertionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import Monomial, Polynomial
+from .ring import InternalError, Monomial, Polynomial
 
 
 class CyclicShift:
@@ -80,7 +80,7 @@ def orbit(m: Monomial, n: int) -> list:
         raise ValueError(f"monomial exceeds arity {n}")
     out = [act(g, m) for g in all_shifts(n)]
     if len(set(out)) != n:
-        raise AssertionError("orbit collapsed; action is broken")
+        raise InternalError("orbit collapsed; action is broken")
     return out
 
 

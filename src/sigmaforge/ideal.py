@@ -29,8 +29,8 @@ from functools import lru_cache
 
 from . import cyclic
 from .linalg import RowSpace
-from .ring import (Monomial, Polynomial, basis_words, render_poly,
-                   variable_commutator)
+from .ring import (InternalError, Monomial, Polynomial, basis_words,
+                   render_poly, variable_commutator)
 from .sigma import (build_sigma, char_poly_image, factored_char_coefficients,
                     inverse_identity_image, verify_sigma_independence)
 
@@ -391,7 +391,7 @@ class DegreeSlice:
         want = {m: c.numerator * (denom // c.denominator)
                 for m, c in p.terms.items()}
         if {w: x for w, x in recon.items() if x} != want:
-            raise AssertionError("certificate failed reconstruction")
+            raise InternalError("certificate failed reconstruction")
         return cert
 
 
@@ -552,12 +552,12 @@ def _canonical_quadratic_space(n: int):
         labels.append(label)
         scale, vec = sl.vector_of(poly)
         if scale != 1:
-            raise AssertionError("canonical quadratic basis is not integral")
+            raise InternalError("canonical quadratic basis is not integral")
         rows.append(vec)
     rows.extend(sl.space.rows)
     space = RowSpace(rows, len(sl.basis))
     if space.rank != len(rows) or space.rank != len(sl.basis):
-        raise AssertionError(
+        raise InternalError(
             "canonical quadratic basis is not a quotient basis")
     return sl, space, labels
 
@@ -574,7 +574,7 @@ def canonical_quadratic(p: Polynomial) -> dict:
     scale, vec = sl.vector_of(p)
     got = space.combination(vec)
     if got is None:
-        raise AssertionError("quadratic failed to reduce; basis incomplete")
+        raise InternalError("quadratic failed to reduce; basis incomplete")
     den, ks = got
     out = {"squares": {}, "products": {}, "commutators": {}}
     for t, label in enumerate(labels):
@@ -599,6 +599,7 @@ def reconstruct_quadratic(coeffs: dict, n: int) -> Polynomial:
 
 
 def _unit(check, n, degree, status, witness):
+    """The one builder of a report unit, keys in the order printed."""
     return {"check": check, "n": n, "degree": degree,
             "status": "pass" if status else "fail", "witness": witness}
 

@@ -5,9 +5,10 @@ commutes with the letters (it shifts them), and its cube is central.
 Every invariant polynomial reduces to a canonical triple
 z0 + z1*c + z2*c^2 whose entries are commutative polynomials in the
 three elementary sums, the central cube, and the orbit sum of the
-degree-3 alternating atom.  The reduction runs off a seven-entry table of low-degree orbit
-sums plus six prefix rules for higher atoms, and every derived identity
-can be certified in the free ring by exact ideal membership.
+degree-3 alternating atom, held by ``SReduced`` on ``ring.Terms``.
+The reduction runs off a seven-entry table of low-degree orbit sums
+plus six prefix rules for higher atoms, and every derived identity can
+be certified in the free ring by exact ideal membership.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from functools import lru_cache
 
 from . import cyclic
 from .atoms import enumerate_atoms, factor_atoms, is_atom, orbit_max
-from .ideal import commutator_generators, degree_slice, member
+from .ideal import _unit, commutator_generators, degree_slice, member
 from .linalg import RowSpace
-from .ring import Monomial, ONE, Polynomial, parse_poly, render_poly
+from .ring import (InternalError, Monomial, ONE, Polynomial, Terms,
+                   parse_poly, render_poly)
 from .rewrite import orbit_decompose, orbit_product
 from .sigma import CommPoly, abelianize, build_sigma
 
@@ -67,107 +69,115 @@ def _normalize_d(z: CommPoly) -> CommPoly:
     """Rewrite away every d-power of 2 or more; degree in d drops each
     pass, so this terminates."""
     trace, norm = d_square_rewrite()
-    d = _sym(5)
     while True:
         high = {ev: c for ev, c in z.terms.items() if ev[4] >= 2}
         if not high:
             return z
         for ev, c in high.items():
-            rest = list(ev)
-            rest[4] -= 2
-            base = CommPoly({tuple(rest): c}, 5)
-            z = z - CommPoly({ev: c}, 5) + base * (trace * d - norm)
+            base = CommPoly({ev[:4] + (ev[4] - 2,): c}, 5)
+            z = z - CommPoly({ev: c}, 5) + base * (trace * _sym(5) - norm)
 
 
-class SReduced:
+@lru_cache(maxsize=None)
+def _d_square_terms() -> tuple:
+    """d^2 = trace*d - norm as (``SReduced`` key, coeff) pairs."""
+    trace, norm = d_square_rewrite()
+    return tuple((ev + (0,), c)
+                 for ev, c in (trace * _sym(5) - norm).terms.items())
+
+
+class SReduced(Terms):
     """Canonical triple z0 + z1*c + z2*c^2 with commutative entries.
 
-    Multiplication treats c as commuting with the entries and replaces
-    c^3 by the central symbol; entries are kept at d-degree at most 1
-    through the quadratic rewrite, so equal classes get equal triples.
-    Only the constructor and products rewrite: sums, negation, scalar
-    multiples and ``mul_c`` cannot raise the degree in d.
+    One map of terms, keyed by the exponents of (s1, s2, s3, c3, d) and
+    then the power of c (0, 1 or 2); c commutes with the symbols and c^3
+    wraps into c3.  Entries stay at d-degree at most 1, so equal classes
+    get equal maps: ``SReduced(z0, z1, z2)`` validates and rewrites every
+    power of d, a product (d-degree at most 2) rewrites d^2 once, and
+    sums, scalar multiples and ``mul_c`` cannot raise it.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
     def __init__(self, z0, z1, z2):
-        parts = []
-        for z in (z0, z1, z2):
+        terms = {}
+        for j, z in enumerate((z0, z1, z2)):
             if not isinstance(z, CommPoly) and isinstance(z, (int, Fraction)):
                 z = CommPoly.constant(z, 5)
             if not isinstance(z, CommPoly) or z.arity != 5:
                 raise ValueError("entries must be 5-symbol CommPoly values")
-            parts.append(_normalize_d(z))
-        object.__setattr__(self, "parts", tuple(parts))
+            terms.update((ev + (j,), c)
+                         for ev, c in _normalize_d(z).terms.items())
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "arity", 5)
 
-    @classmethod
-    def _trusted(cls, *parts) -> "SReduced":
-        """Wrap entries already at d-degree at most 1."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "parts", parts)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SReduced is immutable")
+    @staticmethod
+    def _unit(arity):
+        return (0,) * (arity + 1)
 
     @classmethod
     def zero(cls) -> "SReduced":
-        return cls(0, 0, 0)
+        return cls._trusted({}, 5)
 
     @classmethod
-    def scalar(cls, z) -> "SReduced":
+    def scalar(cls, z, arity=5) -> "SReduced":
+        """z0 = z, a rational or a CommPoly; also the core's hook for a
+        rational scalar (``+ 1``, ``== 2``, ``** 0``), at arity 5."""
         return cls(z, 0, 0)
 
-    def is_zero(self) -> bool:
-        return all(z.is_zero() for z in self.parts)
+    constant = scalar
 
-    def __add__(self, other):
-        if not isinstance(other, SReduced):
-            return NotImplemented
-        return SReduced._trusted(
-            *(a + b for a, b in zip(self.parts, other.parts)))
+    @property
+    def parts(self) -> tuple:
+        """The entries (z0, z1, z2), as 5-symbol CommPoly values."""
+        split = ({}, {}, {})
+        for key, c in self.terms.items():
+            split[key[5]][key[:5]] = c
+        return tuple(CommPoly._trusted(t, 5) for t in split)
 
-    def __neg__(self):
-        return SReduced._trusted(*(-z for z in self.parts))
-
-    def __sub__(self, other):
-        if not isinstance(other, SReduced):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "SReduced":
-        c = Fraction(c)
-        return SReduced._trusted(*(z * c for z in self.parts))
+    # bound by name for the benchmark's tracer, as in ring.Polynomial
+    __add__, __sub__ = Terms.__add__, Terms.__sub__
 
     def __mul__(self, other):
-        if not isinstance(other, SReduced):
-            if isinstance(other, CommPoly):
-                return SReduced(*(z * other for z in self.parts))
-            if isinstance(other, (int, Fraction)):
-                return self.scale(other)
-            return NotImplemented
-        z0, z1, z2 = self.parts
-        w0, w1, w2 = other.parts
-        c3 = _sym(4)
-        return SReduced(
-            z0 * w0 + c3 * (z1 * w2 + z2 * w1),
-            z0 * w1 + z1 * w0 + c3 * (z2 * w2),
-            z0 * w2 + z1 * w1 + z2 * w0,
-        )
+        if isinstance(other, CommPoly):
+            other = SReduced(other, 0, 0)
+        return Terms.__mul__(self, other)
 
     __rmul__ = __mul__
 
+    def _product(self, other) -> dict:
+        terms = {}
+        high = {}  # the terms with d^2, d taken out
+        right = other.terms.items()
+        for k1, x in self.terms.items():
+            for k2, y in right:
+                key = [a + b for a, b in zip(k1, k2)]
+                if key[5] > 2:
+                    key[5] -= 3
+                    key[3] += 1
+                out = terms
+                if key[4] == 2:
+                    key[4] = 0
+                    out = high
+                key = tuple(key)
+                got = out.get(key)
+                out[key] = x * y if got is None else got + x * y
+        for key, x in high.items():
+            for k2, y in _d_square_terms():
+                k = tuple(a + b for a, b in zip(key, k2))
+                got = terms.get(k)
+                terms[k] = x * y if got is None else got + x * y
+        return terms
+
+    def scale(self, c) -> "SReduced":
+        return Terms.__mul__(self, Fraction(c))
+
     def mul_c(self) -> "SReduced":
         """Multiply by one power of c; the cube wraps into the symbol."""
-        z0, z1, z2 = self.parts
-        return SReduced._trusted(_sym(4) * z2, z0, z1)
-
-    def __eq__(self, other):
-        return isinstance(other, SReduced) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
+        return self._trusted(
+            {(a1, a2, a3, a4 + 1, a5, 0) if j == 2
+             else (a1, a2, a3, a4, a5, j + 1): c
+             for (a1, a2, a3, a4, a5, j), c in self.terms.items()}, 5)
 
     def render(self) -> str:
         chunks = []
@@ -175,16 +185,12 @@ class SReduced:
             if z.is_zero():
                 continue
             body = z.render(SYMBOL_NAMES)
-            if tail and body == "1":
-                chunks.append(tail[1:])
-                continue
-            if tail and body == "-1":
-                chunks.append("-" + tail[1:])
-                continue
-            if tail and (" " in body or len(z.terms) > 1):
+            if tail and body in ("1", "-1"):
+                body, tail = body[:-1], tail[1:]
+            elif tail and len(z.terms) > 1:
                 body = f"({body})"
             chunks.append(body + tail)
-        return " + ".join(chunks) if chunks else "0"
+        return " + ".join(chunks) or "0"
 
     def __repr__(self):
         return f"SReduced({self.render()!r})"
@@ -192,30 +198,24 @@ class SReduced:
 
 @lru_cache(maxsize=None)
 def _symbol_polys():
+    """The free-ring values of s1, s2, s3, c3, d and c."""
     c = c_element()
     return (build_sigma(N, 1), build_sigma(N, 2), build_sigma(N, 3),
-            c * c * c, extra_symbol_poly())
+            c * c * c, extra_symbol_poly(), c)
 
 
-def _expand_comm(z: CommPoly) -> Polynomial:
-    """Evaluate a symbol polynomial in the free ring, factors in the
-    fixed order s1, s2, s3, c3, d."""
+def expand_to_ring(sr: SReduced) -> Polynomial:
+    """Evaluate a canonical form in the free ring, factors in the fixed
+    order s1, s2, s3, c3, d, c."""
     syms = _symbol_polys()
     total = Polynomial.zero(N)
-    for ev, coeff in sorted(z.terms.items()):
+    for key, coeff in sorted(sr.terms.items()):
         prod = Polynomial.constant(coeff, N)
-        for sym, e in zip(syms, ev):
+        for sym, e in zip(syms, key):
             for _ in range(e):
                 prod = prod * sym
         total = total + prod
     return total
-
-
-def expand_to_ring(sr: SReduced) -> Polynomial:
-    c = c_element()
-    z0, z1, z2 = sr.parts
-    return (_expand_comm(z0) + _expand_comm(z1) * c
-            + _expand_comm(z2) * c * c)
 
 
 @lru_cache(maxsize=None)
@@ -284,7 +284,7 @@ def _reduce_big_atom(rep: Monomial) -> SReduced:
         return (s2s * _s_of_letters((1, 3) + L[4:])
                 - s3s * _s_of_letters((3,) + L[4:])
                 - _s_of_letters((1, 2, 1, 3) + L[4:]))
-    raise AssertionError(f"unhandled atom prefix: {rep!r}")
+    raise InternalError(f"unhandled atom prefix: {rep!r}")
 
 
 def _reduce_composite(rep: Monomial) -> SReduced:
@@ -297,11 +297,11 @@ def _reduce_composite(rep: Monomial) -> SReduced:
         prod = orbit_product(prod, f, N)
         sprod = sprod * reduce_orbit(f)
     if prod.pop(rep, 0) != 1:
-        raise AssertionError("composite split lost its leading orbit")
+        raise InternalError("composite split lost its leading orbit")
     top = rep.sort_key()
     for other in prod:
         if other.sort_key() >= top:
-            raise AssertionError("composite split failed to decrease")
+            raise InternalError("composite split failed to decrease")
     return sprod - _reduce_orbits(prod)
 
 
@@ -309,10 +309,8 @@ def _reduce_orbits(orbits: dict) -> SReduced:
     """Canonical form of a {representative: coeff} combination."""
     total = SReduced.zero()
     for rep, coeff in orbits.items():
-        if rep.is_unit():
-            total = total + SReduced.scalar(coeff)
-        else:
-            total = total + reduce_orbit(rep).scale(coeff)
+        total = total + (coeff if rep.is_unit()
+                         else reduce_orbit(rep).scale(coeff))
     return total
 
 
@@ -326,7 +324,8 @@ def reduce_invariant(p: Polynomial) -> SReduced:
 def clear_caches():
     """Empty the orbit-sum cache and every cached table and symbol."""
     _S_CACHE.clear()
-    for cached in (d_square_rewrite, _symbol_polys, base_table, _sym):
+    for cached in (d_square_rewrite, _d_square_terms, _symbol_polys,
+                   base_table, _sym):
         cached.cache_clear()
 
 
@@ -349,11 +348,6 @@ def reduce_to_S_form(p: Polynomial, certify=False,
 # -- the verification suite ------------------------------------------
 
 
-def _unit(check, degree, status, witness):
-    return {"check": check, "n": N, "degree": degree,
-            "status": "pass" if status else "fail", "witness": witness}
-
-
 def _x(i: int) -> Polynomial:
     return Polynomial.variable((i - 1) % N + 1, N)
 
@@ -365,7 +359,7 @@ def _check_base_table():
                            key=lambda kv: kv[0].sort_key(), reverse=True):
         diff = cyclic.orbit_polynomial(atom, N) - expand_to_ring(sr)
         ok = member(diff, gset).member
-        out.append(_unit("n3_base_table", atom.degree, ok,
+        out.append(_unit("n3_base_table", N, atom.degree, ok,
                          {"atom": render_poly(
                              Polynomial.from_monomial(atom, N)),
                           "form": sr.render()}))
@@ -378,10 +372,10 @@ def _check_letter_shift():
     out = []
     for i in (1, 2, 3):
         ok = member(_x(i) * c - c * _x(i + 1), gset).member
-        out.append(_unit("n3_xc_shift", 3, ok, {"letter": i, "shift": 1}))
+        out.append(_unit("n3_xc_shift", N, 3, ok, {"letter": i, "shift": 1}))
     for i in (1, 2, 3):
         ok = member(_x(i) * c * c - c * c * _x(i + 2), gset).member
-        out.append(_unit("n3_xc2_shift", 5, ok, {"letter": i, "shift": 2}))
+        out.append(_unit("n3_xc2_shift", N, 5, ok, {"letter": i, "shift": 2}))
     return out
 
 
@@ -398,14 +392,14 @@ def _check_cube_central(max_degree):
         rhs = f1 * c * c + c * f2 * c + c * c * f3
         exact = lhs == rhs
         members = all(member(f, gset).member for f in (f1, f2, f3))
-        out.append(_unit("n3_c3_central", 7, exact and members,
+        out.append(_unit("n3_c3_central", N, 7, exact and members,
                          {"letter": i, "identity_exact": exact,
                           "factors_member": members,
                           "route": "structural"}))
     if max_degree >= 7:
         for i in (1, 2, 3):
             ok = member(_x(i) * c3 - c3 * _x(i), gset).member
-            out.append(_unit("n3_c3_central_direct", 7, ok,
+            out.append(_unit("n3_c3_central_direct", N, 7, ok,
                              {"letter": i, "route": "direct"}))
     return out
 
@@ -416,7 +410,7 @@ def _check_orbit121_central():
     out = []
     for i in (1, 2, 3):
         ok = member(_x(i) * u - u * _x(i), gset).member
-        out.append(_unit("n3_orbit121_central", 4, ok, {"letter": i}))
+        out.append(_unit("n3_orbit121_central", N, 4, ok, {"letter": i}))
     return out
 
 
@@ -427,7 +421,7 @@ def _check_reversal_nonmember():
     wit = {"member": res.member}
     if not res.member:
         wit["residual"] = render_poly(res.residuals[3])
-    return [_unit("n3_reversal_nonmember", 3, not res.member, wit)]
+    return [_unit("n3_reversal_nonmember", N, 3, not res.member, wit)]
 
 
 def _check_word_shift_gaps():
@@ -440,11 +434,11 @@ def _check_word_shift_gaps():
     for r in (1, 2):
         p = w - cyclic.act(cyclic.CyclicShift(r, N), w)
         ok = member(p, gset).member
-        out.append(_unit("n3_word_shift_member", 3, ok,
+        out.append(_unit("n3_word_shift_member", N, 3, ok,
                          {"shift": r, "member": ok}))
     extra = extra_symbol_poly()
     res = member(extra, gset)
-    out.append(_unit("n3_extra_symbol_nonmember", 3, not res.member,
+    out.append(_unit("n3_extra_symbol_nonmember", N, 3, not res.member,
                      {"member": res.member}))
     return out
 
@@ -458,7 +452,7 @@ def _check_cubic():
     good = (t * t * t - s2 * t * t * 3 + s2 * s2 * t * 3
             - (s2 * s2 * s2 + c * c * c))
     ok_good = member(good, gset).member
-    out = [_unit("n3_cubic", 6, ok_good,
+    out = [_unit("n3_cubic", N, 6, ok_good,
                  {"variant": "homogeneous", "member": ok_good})]
     # dropping one power of s2 leaves an inhomogeneous expression whose
     # degree-4 part survives abelianization, so it cannot be a member
@@ -467,7 +461,7 @@ def _check_cubic():
     res = member(bad, gset)
     ab4 = abelianize(bad.homogeneous_component(4))
     out.append(_unit(
-        "n3_cubic_misprint_rejected", 6, (not res.member)
+        "n3_cubic_misprint_rejected", N, 6, (not res.member)
         and not ab4.is_zero(),
         {"variant": "inhomogeneous", "member": res.member,
          "degree_4_commutative_image_nonzero": not ab4.is_zero()}))
@@ -493,7 +487,7 @@ def _check_d_quadratic():
     right = reduce_orbit(Monomial((1, 3, 1), (1, 1, 1)))
     _, norm = d_square_rewrite()
     collapsed = (left * right) == SReduced.scalar(norm)
-    return [_unit("n3_d_quadratic", 6,
+    return [_unit("n3_d_quadratic", N, 6,
                   ok_prod and ok_trace and collapsed,
                   {"sum_member": ok_trace, "product_member": ok_prod,
                    "canonical_product_collapses": collapsed})]
@@ -536,15 +530,15 @@ def _check_central_quadratics():
                     len(sl2.basis))
     contained = all(span.contains(a) for a in kernel)
     expected = 2 + sl2.rank
-    return [_unit("n3_central_quadratics", 2,
+    return [_unit("n3_central_quadratics", N, 2,
                   nullity == expected and contained,
                   {"nullity": nullity, "expected": expected,
                    "all_in_span": contained})]
 
 
 def _s_monomials(total: int):
-    """Normal-form (exponent-vector, c-power) pairs of weighted degree
-    ``total``: c-power at most 2 and d-power at most 1."""
+    """Normal-form ``SReduced`` keys of weighted degree ``total``:
+    c-power at most 2 and d-power at most 1."""
     out = []
     for j in (0, 1, 2):
         w = total - 2 * j
@@ -565,26 +559,23 @@ def _s_monomials(total: int):
                 rec(pos + 1, left - e * step, acc + [e])
 
         rec(0, w, [])
-        out.extend((ev, j) for ev in evs)
+        out.extend(ev + (j,) for ev in evs)
     return out
 
 
 def _check_s_independence(max_degree):
     out = []
-    c = c_element()
     gset = commutator_generators(N)
     for d in range(1, max_degree + 1):
         sl = degree_slice(gset, d)
         rows = []
         count = 0
-        for ev, j in _s_monomials(d):
+        for key in _s_monomials(d):
             count += 1
-            p = _expand_comm(CommPoly({ev: 1}, 5))
-            for _ in range(j):
-                p = p * c
+            p = expand_to_ring(SReduced._trusted({key: Fraction(1)}, 5))
             rows.append(sl.reduce(p).row)
         rank = RowSpace(rows, len(sl.basis)).rank
-        out.append(_unit("n3_s_independence", d, rank == count,
+        out.append(_unit("n3_s_independence", N, d, rank == count,
                          {"count": count, "rank": rank}))
     return out
 
@@ -601,7 +592,7 @@ def _check_s_reduction(max_degree):
     u12 = cyclic.orbit_polynomial(Monomial((1, 2), (1, 1)), N)
     u13 = cyclic.orbit_polynomial(Monomial((1, 3), (1, 1)), N)
     certified = member(u12 * u13 - expand_to_ring(prod), gset).member
-    out.append(_unit("n3_s_product", 4, frozen and certified,
+    out.append(_unit("n3_s_product", N, 4, frozen and certified,
                      {"frozen_form": prod.render(), "matches": frozen,
                       "certified": certified}))
     bound = min(max_degree, 6)
@@ -612,7 +603,7 @@ def _check_s_reduction(max_degree):
             diff = cyclic.orbit_polynomial(atom, N) - expand_to_ring(sr)
             if not member(diff, gset).member:
                 bad.append(render_poly(Polynomial.from_monomial(atom, N)))
-        out.append(_unit("n3_s_reduce_atoms", d, not bad,
+        out.append(_unit("n3_s_reduce_atoms", N, d, not bad,
                          {"atoms": len(enumerate_atoms(N, d)),
                           "failed": bad}))
     return out

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from . import cyclic
 from .atoms import factor_atoms, is_atom, orbit_max
-from .ring import Monomial, ONE, Polynomial, Terms, render_monomial, render_terms
+from .ring import (InternalError, Monomial, ONE, Polynomial, Terms,
+                   render_monomial, render_terms)
 
 
 class AtomExpression(Terms):
@@ -144,7 +145,7 @@ def rewrite_invariant(p: Polynomial) -> AtomExpression:
         lead = max(r, key=Monomial.sort_key)
         key = lead.sort_key()
         if guard is not None and key >= guard:
-            raise AssertionError("leading monomial failed to decrease")
+            raise InternalError("leading monomial failed to decrease")
         guard = key
         coeff = r[lead]
         factors = tuple(factor_atoms(lead, n))

@@ -14,6 +14,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+class InternalError(AssertionError):
+    """A broken internal invariant, where AssertionError is a failed check."""
+
+
 class Monomial:
     """Immutable word in the generators, run-length encoded."""
 

@@ -50,6 +50,17 @@ def test_factor_command(capsys):
     assert out.strip() == "x1*x3 x1 x1 x1*x2 x1*x2"
 
 
+def test_internal_error_is_not_a_failed_check(capsys, monkeypatch):
+    from sigmaforge import atoms
+
+    monkeypatch.setattr(atoms, "semigroup_product", lambda factors, n: None)
+    code, out, err = run(capsys, "factor", "x1*x3^4*x1^2*x2", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: factorization failed to "
+                          "multiply back")
+    assert "check failed" not in err
+
+
 def test_atoms_command(capsys):
     code, out, _ = run(capsys, "atoms", "--n", "3", "--degree", "3")
     assert code == 0

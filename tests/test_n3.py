@@ -202,8 +202,8 @@ def test_clear_caches_gives_equal_reductions():
     before = [reduce_orbit(r) for r in reps] + [reduce_invariant(inv)]
     n3lab.clear_caches()
     assert n3lab._S_CACHE == {}
-    for cached in (n3lab.d_square_rewrite, n3lab._symbol_polys,
-                   base_table, n3lab._sym):
+    for cached in (n3lab.d_square_rewrite, n3lab._d_square_terms,
+                   n3lab._symbol_polys, base_table, n3lab._sym):
         assert cached.cache_info().currsize == 0
     after = [reduce_orbit(r) for r in reps] + [reduce_invariant(inv)]
     assert after == before
@@ -215,6 +215,147 @@ def test_sreduced_render():
     assert "s2" in text and "*c" in text and "c^2" in text
     assert SReduced.zero().render() == "0"
     assert SReduced.zero().is_zero()
+
+
+# -- the triple arithmetic, kept as the oracle for the one-map form ------
+
+
+def oracle_normalize_d(z):
+    trace = sym(1) * sym(2) - sym(3) * 3
+    norm = (sym(4) + sym(2) ** 3 + sym(3) ** 2 * 9
+            - sym(1) * sym(2) * sym(3) * 6 + sym(1) ** 3 * sym(3))
+    while True:
+        high = {ev: c for ev, c in z.terms.items() if ev[4] >= 2}
+        if not high:
+            return z
+        for ev, c in high.items():
+            rest = ev[:4] + (ev[4] - 2,)
+            z = (z - CommPoly({ev: c}, 5)
+                 + CommPoly({rest: c}, 5) * (trace * sym(5) - norm))
+
+
+class Triple:
+    """z0 + z1*c + z2*c^2 as three CommPoly entries, with the product
+    written out part by part and every entry rewritten to d-degree at
+    most 1 afterwards."""
+
+    def __init__(self, z0, z1, z2):
+        self.parts = tuple(
+            oracle_normalize_d(z if isinstance(z, CommPoly)
+                               else CommPoly.constant(z, 5))
+            for z in (z0, z1, z2))
+
+    def __add__(self, other):
+        return Triple(*(a + b for a, b in zip(self.parts, other.parts)))
+
+    def __neg__(self):
+        return Triple(*(-z for z in self.parts))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return Triple(*(z * Fraction(c) for z in self.parts))
+
+    def __mul__(self, other):
+        if isinstance(other, CommPoly):
+            return Triple(*(z * other for z in self.parts))
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        z0, z1, z2 = self.parts
+        w0, w1, w2 = other.parts
+        c3 = sym(4)
+        return Triple(z0 * w0 + c3 * (z1 * w2 + z2 * w1),
+                      z0 * w1 + z1 * w0 + c3 * (z2 * w2),
+                      z0 * w2 + z1 * w1 + z2 * w0)
+
+    def mul_c(self):
+        z0, z1, z2 = self.parts
+        return Triple(sym(4) * z2, z0, z1)
+
+    def __eq__(self, other):
+        return self.parts == other.parts
+
+    def render(self):
+        chunks = []
+        for z, tail in zip(self.parts, ("", "*c", "*c^2")):
+            if z.is_zero():
+                continue
+            body = z.render(n3lab.SYMBOL_NAMES)
+            if tail and body == "1":
+                chunks.append(tail[1:])
+                continue
+            if tail and body == "-1":
+                chunks.append("-" + tail[1:])
+                continue
+            if tail and (" " in body or len(z.terms) > 1):
+                body = f"({body})"
+            chunks.append(body + tail)
+        return " + ".join(chunks) if chunks else "0"
+
+
+def random_part(rng):
+    """A 5-symbol CommPoly of d-degree at most 1."""
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        ev = tuple(rng.randint(0, 2) for _ in range(4)) + (rng.randint(0, 1),)
+        terms[ev] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return CommPoly(terms, 5)
+
+
+def assert_agrees(sr, oracle):
+    """sr is the triple the oracle computed, and a value the validating
+    constructor would have built."""
+    assert type(sr) is SReduced and sr.parts == oracle.parts
+    assert sr == SReduced(*sr.parts) and sr.render() == oracle.render()
+    for key, c in sr.terms.items():
+        assert len(key) == 6 and key[4] <= 1 and key[5] <= 2
+        assert type(c) is Fraction and c != 0
+
+
+def test_sreduced_agrees_with_the_triple_oracle():
+    rng = random.Random(41)
+    d, one = sym(5), CommPoly.constant(1, 5)
+    # d*c^2 times d*c: the c^3 wrap and the d^2 rewrite in one term
+    pool = [(SReduced(*t), Triple(*t)) for t in (
+        (0, 0, d), (0, d, 0), (d, 0, one + d), (0, 0, 0), (1, 0, 0))]
+    pool += [(sr, Triple(*sr.parts)) for sr in base_table().values()]
+    for _ in range(60):
+        parts = [random_part(rng) for _ in range(3)]
+        pool.append((SReduced(*parts), Triple(*parts)))
+    for sr, oracle in pool:
+        assert_agrees(sr, oracle)
+    wrapped = 0
+    for _ in range(300):
+        (a, oa), (b, ob) = rng.choice(pool), rng.choice(pool)
+        q = random_part(rng) + sym(5) ** rng.randint(0, 2)
+        r = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        assert_agrees(a + b, oa + ob)
+        assert_agrees(a - b, oa - ob)
+        assert_agrees(-a, -oa)
+        assert_agrees(a * b, oa * ob)
+        assert_agrees(a * q, oa * q)
+        assert_agrees(q * a, oa * q)
+        assert_agrees(a * r, oa * r)
+        assert_agrees(r * a, oa * r)
+        assert_agrees(a.scale(r), oa.scale(r))
+        assert_agrees(a.mul_c(), oa.mul_c())
+        assert (a == b) == (oa == ob)
+        assert hash(a) == hash(SReduced(*oa.parts))
+        wrapped += any(k1[4] + k2[4] == 2 and k1[5] + k2[5] >= 3
+                       for k1 in a.terms for k2 in b.terms)
+    assert wrapped > 20
+    # (d*c^2)(d*c) = c3*d^2, which the constructor rewrites on its own
+    assert pool[0][0] * pool[1][0] == SReduced(sym(4) * d * d, 0, 0)
+
+
+def test_sreduced_scalars_follow_the_core_rule():
+    sr = reduce_orbit(om("x1*x2"))
+    assert SReduced.scalar(2) == 2 and hash(SReduced.scalar(2)) == hash(2)
+    assert SReduced.zero() == 0 and sr != 2
+    assert sr + 1 == sr + SReduced.scalar(1) == 1 + sr
+    assert sr - Fraction(1, 2) == sr + SReduced.scalar(Fraction(-1, 2))
+    assert sr ** 2 == sr * sr and sr ** 0 == 1
 
 
 def test_cubic_for_degree_two_orbit_sum():

@@ -166,7 +166,7 @@ def test_rewrite_matches_free_ring_rewrite():
 CHECKS_UNDER_O = """
 from fractions import Fraction
 from sigmaforge import n3lab, rewrite
-from sigmaforge.ring import Monomial, parse_poly
+from sigmaforge.ring import InternalError, Monomial, parse_poly
 
 closed_form = rewrite.orbit_product
 square = Monomial((1,), (2,))
@@ -188,15 +188,15 @@ outcome("invariance_gate",
 rewrite.orbit_product = lambda orbits, b, n: {}
 outcome("lead_decreases",
         lambda: rewrite.rewrite_invariant(parse_poly("x1^2 + x2^2 + x3^2", 3)),
-        AssertionError)
+        InternalError)
 n3lab.orbit_product = lambda orbits, b, n: {
     k: 2 * c for k, c in closed_form(orbits, b, n).items()}
 outcome("leading_coefficient_one",
-        lambda: n3lab.reduce_orbit(square), AssertionError)
+        lambda: n3lab.reduce_orbit(square), InternalError)
 n3lab.orbit_product = lambda orbits, b, n: {
     **closed_form(orbits, b, n), Monomial((1,), (9,)): Fraction(1)}
 outcome("composite_decreases",
-        lambda: n3lab.reduce_orbit(square), AssertionError)
+        lambda: n3lab.reduce_orbit(square), InternalError)
 print("debug", __debug__)
 """
 
@@ -210,8 +210,8 @@ def test_reduction_checks_raise_under_python_O():
                          timeout=60)
     assert out.stdout.splitlines() == [
         "invariance_gate raised ValueError",
-        "lead_decreases raised AssertionError",
-        "leading_coefficient_one raised AssertionError",
-        "composite_decreases raised AssertionError",
+        "lead_decreases raised InternalError",
+        "leading_coefficient_one raised InternalError",
+        "composite_decreases raised InternalError",
         "debug False",
     ]

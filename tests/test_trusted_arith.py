@@ -80,6 +80,8 @@ BAD_INPUTS = [
      lambda: SReduced(CommPoly.variable(1, 3), 0, 0), ValueError),
     ("sreduced_entry_not_commpoly", lambda: SReduced("s1", 0, 0),
      ValueError),
+    ("sreduced_times_commpoly_wrong_arity",
+     lambda: SReduced.scalar(1) * CommPoly.variable(1, 3), ValueError),
     ("rowspace_fraction_entry",
      lambda: RowSpace([{0: Fraction(1, 2), 1: 1}], 2), TypeError),
     ("rowspace_float_entry", lambda: RowSpace([{0: 0.5}, {1: 1}], 2),
