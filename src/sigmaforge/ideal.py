@@ -4,6 +4,9 @@ Everything here reduces to exact linear algebra on homogeneous slices:
 the degree-d piece I_d of the ideal generated by homogeneous
 polynomials g is spanned by the vectors u*g*v over word pairs (u, v),
 expressed in the fixed degree-d word basis (decreasing monomial order).
+A spanning row is named by its words, as (generator index, |u|,
+position of u, position of v), and a word's column is read off its
+base-n code, for the rows a slice builds and the vectors it reduces.
 Canonical echelon forms make span comparison, membership, residual
 witnesses and explicit combination certificates deterministic.  There
 is one slice per family and degree: certificates are read off the
@@ -15,7 +18,7 @@ I_{d-1}*x + span(generators of degree d), the recursion behind
 letterplace Groebner bases (La Scala and Levandovskyy, J. Symbolic
 Comput. 2009).  A slice therefore eliminates only the spanning rows
 that this recursion picks from the basis of the slice below it (see
-``DegreeSlice``), not every u*g*v: at n=3 degree 8 that is 7581 of
+``DegreeSlice``), not every u*g*v: at n=3 degree 8 that is 7401 of
 20898 rows.  The canonical rows do not depend on which spanning rows
 go in, so neither do ranks, residuals or any output.
 """
@@ -23,7 +26,6 @@ go in, so neither do ranks, residuals or any output.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
@@ -71,7 +73,8 @@ class GeneratorSet:
         integer = tuple(_integerized(g) for g in gens)
         object.__setattr__(self, "_integer", integer)
         object.__setattr__(self, "_codes", tuple(
-            (g.degree(), tuple(zip(_word_codes(gvec, n), gvec.values())))
+            (g.degree(),
+             tuple(zip(_word_codes(gvec, n, g.degree()), gvec.values())))
             for g, (_, gvec) in zip(gens, integer)))
 
     def __setattr__(self, name, value):
@@ -137,17 +140,26 @@ def _integerized(p: Polynomial):
                    for m, c in p.terms.items()}
 
 
-def _word_codes(words, n: int) -> list:
-    """Base-n code of each word: letters 1..n are the digits 0..n-1,
-    the first letter the most significant.  Words of one degree get
-    distinct codes, and code(u*m*v) = (code(u)*n^|m| + code(m))*n^|v|
-    + code(v)."""
+@lru_cache(maxsize=None)
+def _letter_runs(n: int, k: int):
+    """``runs[i][e]`` = (n**e, code of x_i^e) for letters i in 1..n and
+    e <= k, the code of x_i^e being the digit i-1 e times."""
+    return tuple(tuple((n ** e, (i - 1) * sum(n ** j for j in range(e)))
+                       for e in range(k + 1)) for i in range(n + 1))
+
+
+def _word_codes(words, n: int, k: int) -> list:
+    """Base-n code of each degree-k word: letters 1..n are the digits
+    0..n-1, the first letter the most significant, so code(w*x_i^e) =
+    code(w)*n^e + code(x_i^e).  Words of one degree get distinct codes,
+    and code(u*m*v) = (code(u)*n^|m| + code(m))*n^|v| + code(v)."""
+    runs = _letter_runs(n, k)
     out = []
     for w in words:
         code = 0
         for i, e in zip(w.complexion, w.exponents):
-            for _ in range(e):
-                code = code * n + i - 1
+            m, a = runs[i][e]
+            code = code * m + a
         out.append(code)
     return out
 
@@ -157,22 +169,11 @@ def _code_table(n: int, k: int):
     """(codes, places) for the degree-k words: ``codes[p]`` is the code
     of the word at position p of ``basis_words(n, k)``, and
     ``places[c]`` the position of the word with code c."""
-    codes = tuple(_word_codes(basis_words(n, k), n))
+    codes = tuple(_word_codes(basis_words(n, k), n, k))
     places = [0] * len(codes)
     for p, c in enumerate(codes):
         places[c] = p
     return codes, tuple(places)
-
-
-def _row(gcode, n: int, col, cu: int, cv: int, s: int) -> dict:
-    """The row of u*G*v, for G an integerized generator with ``gcode`` =
-    (degree, ((code of m, c), ...)) and words u, v of codes cu, cv,
-    |v| = s: an entry c at the column of u*m*v for every term c*m of G,
-    read off the code of u*m*v through ``col``."""
-    e, gterms = gcode
-    vshift = n ** s
-    base = cu * n ** (e + s) + cv
-    return {col[base + cm * vshift]: c for cm, c in gterms}
 
 
 class _Record:
@@ -210,12 +211,14 @@ class _Reduction(_Record):
 class DegreeSlice:
     """Echelonized degree-d slice of an ideal's span.
 
-    Spanning row t is u*g*v for one generator g and words u, v;
-    ``row_source(t)`` decodes t into (u, generator index, v), and
-    ``spanning_row(t)`` builds its row.  Not every spanning row is
-    eliminated.  With S the spanning rows behind the stored rows of the
-    cached degree-(d-1) slice (its ``sources``, a basis of I_{d-1}), the
-    slice inserts only
+    A spanning row u*g*v, for one generator g = gens[gi] and words u, v
+    with |u| + |g| + |v| = d, is named by the tuple (gi, |u|, position
+    of u, position of v), positions in ``basis_words``; names sort by
+    generator, then |u|, then u, then v.  ``row_source(name)`` decodes a
+    name into (u, gi, v), and ``spanning_row(name)`` builds its row.
+    Not every spanning row is eliminated.  With S the spanning rows
+    behind the stored rows of the cached degree-(d-1) slice (its
+    ``sources``, a basis of I_{d-1}), the slice inserts only
 
     - x_i*s for every s in S and every letter x_i;
     - s*x_j for the s = g*v in S, whose left word is empty;
@@ -226,62 +229,38 @@ class DegreeSlice:
     of I_{d-1} times x_j, so the s*x_j over all s in S span it; and for
     s = x_i*s' that product is x_i*(s'*x_j), which the first kind
     spans.  The generators of degree d are the rest.  Input row i of
-    ``space`` is spanning row ``_inputs[i]``.
+    ``space`` is the spanning row named ``_inputs[i]``, in name order.
     """
 
-    __slots__ = ("gset", "degree", "basis", "index", "space", "_starts",
-                 "_blocks", "_inputs")
+    __slots__ = ("gset", "degree", "basis", "space", "_inputs")
 
     def __init__(self, gset: GeneratorSet, degree: int):
         n = gset.n
         self.gset = gset
         self.degree = degree
         self.basis = basis_words(n, degree)
-        self.index = {m: j for j, m in enumerate(self.basis)}
-        # the rows of g: for each split rest = r + s, every u of degree r
-        # with every v of degree s, so each r holds n**rest rows
-        starts = []
-        blocks = []
-        start_of = {}
-        total = 0
-        for gi, (e, _) in enumerate(gset._codes):
-            rest = degree - e
-            if rest >= 0:
-                starts.append(total)
-                blocks.append((gi, rest))
-                start_of[gi] = total
-                total += (rest + 1) * n ** rest
-        self._starts = tuple(starts)
-        self._blocks = tuple(blocks)
-        codes = [_code_table(n, k) for k in range(degree + 1)]
-        # (t, gi, code of u, code of v, |v|) of each inserted row
-        picked = [(start_of[gi], gi, 0, 0, 0)
-                  for gi, rest in blocks if rest == 0]
-        if any(rest for _, rest in blocks):
+        gcodes = gset._codes
+        picked = [(gi, 0, 0, 0) for gi, (e, _) in enumerate(gcodes)
+                  if e == degree]
+        if any(e < degree for e, _ in gcodes):
             below = degree_slice(gset, degree - 1)
-            for t in below.sources:
-                gi, r, s, pu, pv = below._locate(t)
-                start = start_of[gi]
-                cu = codes[r][0][pu]
-                cv = codes[s][0][pv]
+            for gi, r, pu, pv in below.sources:
+                s = degree - 1 - gcodes[gi][0] - r
                 # x_i*u*g*v: u gains a first letter, the leading digit
-                places = codes[r + 1][1]
-                head = start + (r + 1) * n ** (r + s + 1) + pv
-                vshift = n ** s
-                for c in range(cu, n ** (r + 1), n ** r):
-                    picked.append((head + places[c] * vshift, gi, c, cv, s))
+                places = _code_table(n, r + 1)[1]
+                for c in range(_code_table(n, r)[0][pu], n ** (r + 1),
+                               n ** r):
+                    picked.append((gi, r + 1, places[c], pv))
                 if r == 0:
                     # g*v*x_j: v gains a last letter, the trailing digit
-                    places = codes[s + 1][1]
-                    for c in range(cv * n, cv * n + n):
-                        picked.append((start + places[c], gi, 0, c, s + 1))
+                    places = _code_table(n, s + 1)[1]
+                    cv = _code_table(n, s)[0][pv] * n
+                    for c in range(cv, cv + n):
+                        picked.append((gi, 0, 0, places[c]))
         picked.sort()
-        self._inputs = tuple(p[0] for p in picked)
-        col = codes[degree][1]
-        gcodes = gset._codes
-        self.space = RowSpace(
-            [_row(gcodes[gi], n, col, cu, cv, s)
-             for _, gi, cu, cv, s in picked], len(self.basis))
+        self._inputs = tuple(picked)
+        self.space = RowSpace([self.spanning_row(name) for name in picked],
+                              len(self.basis))
 
     @property
     def n(self) -> int:
@@ -302,31 +281,26 @@ class DegreeSlice:
         inputs = self._inputs
         return tuple(inputs[i] for i in self.space.sources)
 
-    def _locate(self, t: int):
-        """(gi, r, s, position of u, position of v) of spanning row t,
-        the row of u*gens[gi]*v with |u| = r and |v| = s."""
-        k = bisect_right(self._starts, t) - 1
-        if k < 0 or t < 0:
-            raise IndexError("spanning row index out of range")
-        gi, rest = self._blocks[k]
-        r, rem = divmod(t - self._starts[k], self.n ** rest)
-        if r > rest:
-            raise IndexError("spanning row index out of range")
-        pu, pv = divmod(rem, self.n ** (rest - r))
-        return gi, r, rest - r, pu, pv
-
-    def row_source(self, t: int):
-        """(u, gi, v) of spanning row t, the row of u*gens[gi]*v."""
-        gi, r, s, pu, pv = self._locate(t)
+    def row_source(self, name):
+        """(u, gi, v) of the spanning row named ``name``, the row of
+        u*gens[gi]*v."""
+        gi, r, pu, pv = name
+        s = self.degree - self.gset._codes[gi][0] - r
         return basis_words(self.n, r)[pu], gi, basis_words(self.n, s)[pv]
 
-    def spanning_row(self, t: int) -> dict:
-        """{column: int} of spanning row t, as the constructor builds
-        the rows it inserts."""
-        gi, r, s, pu, pv = self._locate(t)
+    def spanning_row(self, name) -> dict:
+        """{column: int} of the spanning row named ``name``, u*G*v for G
+        the integerized generator: an entry c at the column of u*m*v for
+        every term c*m of G, read off the code of u*m*v."""
+        gi, r, pu, pv = name
         n = self.n
-        return _row(self.gset._codes[gi], n, _code_table(n, self.degree)[1],
-                    _code_table(n, r)[0][pu], _code_table(n, s)[0][pv], s)
+        e, gterms = self.gset._codes[gi]
+        s = self.degree - e - r
+        vshift = n ** s
+        base = (_code_table(n, r)[0][pu] * n ** (e + s)
+                + _code_table(n, s)[0][pv])
+        col = _code_table(n, self.degree)[1]
+        return {col[base + cm * vshift]: c for cm, c in gterms}
 
     def vector_of(self, p: Polynomial):
         """(scale, {column: int}) with scale*p integer, for a
@@ -337,7 +311,10 @@ class DegreeSlice:
             raise ValueError(f"expected a homogeneous degree-{self.degree} "
                              "polynomial")
         scale, terms = _integerized(p)
-        return scale, {self.index[m]: x for m, x in terms.items()}
+        col = _code_table(self.n, self.degree)[1]
+        return scale, {col[c]: x for c, x in
+                       zip(_word_codes(terms, self.n, self.degree),
+                           terms.values())}
 
     def contains(self, p: Polynomial) -> bool:
         return self.space.contains(self.vector_of(p)[1])
@@ -405,6 +382,7 @@ def clear_caches():
     difference_generators.cache_clear()
     _canonical_quadratic_space.cache_clear()
     _code_table.cache_clear()
+    _letter_runs.cache_clear()
 
 
 def degree_slice(gset: GeneratorSet, degree: int,
@@ -585,13 +563,11 @@ def canonical_quadratic(p: Polynomial) -> dict:
 
 def reconstruct_quadratic(coeffs: dict, n: int) -> Polynomial:
     """Inverse of canonical_quadratic up to ideal members."""
+    basis = dict(_canonical_quadratic_basis(n))
     total = Polynomial.zero(n)
-    for i, c in coeffs.get("squares", {}).items():
-        total = total + Polynomial.from_monomial(Monomial((i,), (2,)), n) * c
-    for (i, j), c in coeffs.get("products", {}).items():
-        total = total + Polynomial.word([i, j], n) * c
-    for (i, j), c in coeffs.get("commutators", {}).items():
-        total = total + variable_commutator(i, j + 1, n) * c
+    for kind, part in coeffs.items():
+        for key, c in part.items():
+            total = total + basis[kind, key] * c
     return total
 
 
@@ -607,7 +583,10 @@ def _unit(check, n, degree, status, witness):
 def check_thm_1_1(n: int, max_degree=None):
     """Commutator generators and shift-difference generators span the
     same slice in every certified degree."""
-    bound = max_degree or default_degree_bound(n)
+    bound = default_degree_bound(n) if max_degree is None else max_degree
+    if bound < 2:
+        raise ValueError(f"thm_1_1 needs degree bound at least 2, "
+                         f"got {bound}")
     comm = commutator_generators(n)
     diff = difference_generators(n)
     out = []
@@ -750,7 +729,10 @@ def check_inverse_identity(n: int, max_degree=None):
 
 
 def check_sigma_independence(n: int, max_degree=None):
-    bound = max_degree or default_degree_bound(n)
+    bound = default_degree_bound(n) if max_degree is None else max_degree
+    if bound < 0:
+        raise ValueError(f"sigma_independence needs a degree bound of at "
+                         f"least 0, got {bound}")
     rep = verify_sigma_independence(n, bound)
     return [_unit("sigma_independence", n, bound, rep["independent"], rep)]
 
@@ -778,7 +760,8 @@ def run_check(name: str, n: int, max_degree=None):
             raise ValueError("the n3 suite is defined for n = 3 only")
         from . import n3lab
 
-        return n3lab.verify_n3_suite(max_degree=max_degree or 6)
+        return n3lab.verify_n3_suite(
+            max_degree=6 if max_degree is None else max_degree)
     fn = CHECKS.get(name)
     if fn is None:
         raise ValueError(f"unknown check {name!r}")

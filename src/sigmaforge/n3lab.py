@@ -497,31 +497,33 @@ def _check_central_quadratics():
     gset = commutator_generators(N)
     sl2 = degree_slice(gset, 2)
     sl3 = degree_slice(gset, 3)
-    # row t is [residuals of [x_i, w_t] modulo the degree-3 slice | unit
-    # vector e_t], w_t = sl2.basis[t]: residual block k at columns from
-    # k*m on, m = len(sl3.basis), and e_t at column 3*m + t.  One common
-    # scale keeps every row proportional to its exact rational value, so
-    # rows pivoting in the unit block carry a basis of the kernel there,
-    # in the columns of sl2 (a kernel is a relation among the rows, which
-    # RowSpace.combination, a combination for one vector of the span,
-    # does not give)
+    # row t holds the residuals of [x_i, w_t], w_t = sl2.basis[t],
+    # modulo the degree-3 slice: block k at columns from k*m on, m =
+    # len(sl3.basis).  One common scale keeps every row proportional to
+    # its exact rational value, so a relation among the rows is a kernel
+    # vector in the columns of sl2: each row t that is not a source
+    # gives den*rows[t] - sum k*rows[i] = 0, from combination(rows[t]) =
+    # (den, {i: k})
     m = len(sl3.basis)
-    real = 3 * m
     blocks = []
     for w in sl2.basis:
         p = Polynomial.from_monomial(w, N)
         blocks.append([sl3.reduce(_x(i) * p - p * _x(i)) for i in (1, 2, 3)])
     scale = math.lcm(*(r.scale * r.alpha for bl in blocks for r in bl))
     rows = []
-    for t, bl in enumerate(blocks):
-        row = {real + t: scale}
+    for bl in blocks:
+        row = {}
         for k, r in enumerate(bl):
             f = scale // (r.scale * r.alpha)
             row.update((k * m + c, x * f) for c, x in r.row.items())
         rows.append(row)
-    space = RowSpace(rows, real + len(sl2.basis))
-    kernel = [{c - real: x for c, x in row.items()}
-              for j, row in zip(space.pivots, space.rows) if j >= real]
+    space = RowSpace(rows, 3 * m)
+    sources = set(space.sources)
+    kernel = []
+    for t, row in enumerate(rows):
+        if t not in sources:
+            den, ks = space.combination(row)
+            kernel.append({t: den, **{i: -k for i, k in ks.items()}})
     nullity = len(kernel)
     s1 = build_sigma(N, 1)
     s2 = build_sigma(N, 2)

@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .ring import Monomial, Polynomial, Terms, render_terms
+from .ring import InternalError, Monomial, Polynomial, Terms, render_terms
 
 
 def _as_word(indices, n: int) -> Polynomial:
@@ -245,8 +245,8 @@ def verify_sigma_independence(n: int, degree_bound: int) -> dict:
         for ev, c in poly.terms.items():
             col = basis.setdefault(ev, len(basis))
             if c.denominator != 1:
-                raise AssertionError("power product has a fractional "
-                                     "coefficient")
+                raise InternalError("power product has a fractional "
+                                    "coefficient")
             vec[col] = c.numerator
         vectors.append(vec)
     space = linalg.RowSpace(vectors, len(basis))

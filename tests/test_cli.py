@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 from sigmaforge import cli
@@ -134,6 +135,40 @@ def test_verify_n3_wrong_arity(capsys):
     code, _, err = run(capsys, "verify", "n3", "--n", "4")
     assert code == 2
     assert "n = 3" in err
+
+
+def test_verify_max_degree_zero_is_a_bound(capsys):
+    """--max-degree 0 is a bound, not "unset"; a bound below a check's
+    least degree is refused before any work, with exit 2."""
+    for argv, want in (
+            (("thm_1_1", "--max-degree", "0"), "at least 2, got 0"),
+            (("thm_1_1", "--max-degree", "1"), "at least 2, got 1"),
+            (("thm_1_1", "--max-degree", "-1"), "at least 2, got -1"),
+            (("sigma_independence", "--max-degree", "-1"),
+             "at least 0, got -1"),
+            (("n3", "--max-degree", "0"), "at least 6")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and want in err, argv
+    code, out, _ = run(capsys, "verify", "sigma_independence",
+                       "--max-degree", "0", "--output", "json")
+    assert code == 0
+    unit = json.loads(out)
+    assert (unit["degree"], unit["witness"]["count"]) == (0, 1)
+    code, out, _ = run(capsys, "verify", "thm_1_1", "--max-degree", "2")
+    assert (code, out) == (0, "pass thm_1_1 n=3 degree=2\n1/1 units passed\n")
+
+
+def test_fractional_power_product_is_an_internal_error(capsys, monkeypatch):
+    from sigmaforge import sigma
+
+    whole = sigma.elementary_symmetric
+    monkeypatch.setattr(sigma, "elementary_symmetric",
+                        lambda n, k: whole(n, k) * Fraction(1, 2))
+    code, out, err = run(capsys, "verify", "sigma_independence", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: power product has a fractional "
+                          "coefficient")
 
 
 def test_verify_repeat_runs_byte_identical(capsys):

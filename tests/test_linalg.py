@@ -7,6 +7,7 @@ import pytest
 from sigmaforge import ideal
 from sigmaforge.linalg import RowSpace
 from sigmaforge.ring import Polynomial
+from test_slice_rows import spanning_names
 
 
 def naive_rref(rows, ncols):
@@ -541,12 +542,9 @@ def assert_certifies_every_spanning_row(sl):
     products, independently of the slice's own integer check."""
     n = sl.n
     gens = sl.gset.gens
-    t = 0
-    while True:
-        try:
-            u, gi, v = sl.row_source(t)
-        except IndexError:
-            break
+    names = spanning_names(sl)
+    for t in names:
+        u, gi, v = sl.row_source(t)
         p = (Polynomial.from_monomial(u, n) * gens[gi]
              * Polynomial.from_monomial(v, n))
         cert = sl.certificate_for(p, sl.reduce(p, record=True))
@@ -555,8 +553,7 @@ def assert_certifies_every_spanning_row(sl):
             total = total + (Polynomial.from_monomial(cu, n) * gens[cgi]
                              * Polynomial.from_monomial(cv, n)) * c
         assert total == p, (u, gi, v)
-        t += 1
-    return t
+    return len(names)
 
 
 @pytest.mark.parametrize("family,n,degree,certified",
@@ -568,12 +565,7 @@ def test_sparse_kernel_matches_dense_on_default_slices(
     the benchmark certifies against, every spanning row also gets a
     certificate that rebuilds in the free ring."""
     sl = ideal.DegreeSlice(ideal.generator_set(family, n), degree)
-    rows = []
-    while True:
-        try:
-            rows.append(sl.spanning_row(len(rows)))
-        except IndexError:
-            break
+    rows = [sl.spanning_row(t) for t in spanning_names(sl)]
     ncols = len(sl.basis)
     rng = random.Random(n * 100 + degree)
     space = assert_matches_dense(rows, ncols, random_probes(rng, rows, ncols))

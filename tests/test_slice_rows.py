@@ -4,8 +4,9 @@
 word codes.  ``product_rows`` is the construction it replaced, one
 ``u * m * v`` monomial per entry, kept here as the reference: both must
 give the same rows, in the same order, and ``DegreeSlice.row_source``
-must decode each row's index into the (u, generator index, v) it was
-built from.
+must decode each row's name into the (u, generator index, v) it was
+built from.  ``spanning_names`` enumerates the names, (generator index,
+|u|, position of u, position of v), in that order.
 
 A slice eliminates only the spanning rows that its degree recursion
 picks.  ``test_recursion_gives_the_full_spanning_set_canonical_rows``
@@ -53,15 +54,28 @@ def spanning_count(sl):
     return sum((r + 1) * sl.n ** r for r in rests if r >= 0)
 
 
+def spanning_names(sl):
+    """The name of every spanning row u*g*v of a slice, in name order,
+    which is the order of ``product_rows``; as many as the closed form
+    ``spanning_count`` gives."""
+    n = sl.n
+    names = []
+    for gi, g in enumerate(sl.gset.gens):
+        rest = sl.degree - g.degree()
+        for r in range(rest + 1):
+            names.extend((gi, r, pu, pv) for pu in range(n ** r)
+                         for pv in range(n ** (rest - r)))
+    assert len(names) == spanning_count(sl)
+    return names
+
+
 def built_rows(gset, degree):
     """Every spanning row as the slice builds it, and the source of each
     row as the slice decodes it."""
     sl = ideal.DegreeSlice(gset, degree)
-    count = spanning_count(sl)
-    with pytest.raises(IndexError):
-        sl.row_source(count)
-    return ([sl.spanning_row(t) for t in range(count)],
-            [sl.row_source(t) for t in range(count)])
+    names = spanning_names(sl)
+    return ([sl.spanning_row(t) for t in names],
+            [sl.row_source(t) for t in names])
 
 
 def mixed_generators():
@@ -156,8 +170,9 @@ def test_recursion_gives_the_full_spanning_set_canonical_rows(
             picked += 2 * n if u.is_unit() else n
     assert len(sl._inputs) == picked
 
-    rows = [sl.spanning_row(t) for t in range(spanning_count(sl))]
-    full = RowSpace(rows, len(sl.basis))
+    rows = {t: sl.spanning_row(t) for t in spanning_names(sl)}
+    assert set(sl._inputs) <= rows.keys()
+    full = RowSpace(list(rows.values()), len(sl.basis))
     assert sl.space == full
     assert sl.space.rows == full.rows
 
