@@ -60,10 +60,21 @@ def all_shifts(n: int):
 
 
 def act(g: CyclicShift, obj):
-    """Apply a shift to a Monomial or a Polynomial."""
+    """Apply a shift to a Monomial or a Polynomial.
+
+    A monomial must use letters 1..n only: the shift relabels them
+    bijectively and keeps neighbours distinct, so the image is a valid
+    word as it stands.
+    """
     if isinstance(obj, Monomial):
-        return Monomial(tuple(g.apply_index(i) for i in obj.complexion),
-                        obj.exponents)
+        if obj.max_index() > g.arity:
+            raise ValueError(f"monomial exceeds arity {g.arity}")
+        p, n = g.power, g.arity
+        if not p:  # the identity; a monomial is immutable
+            return obj
+        return Monomial._trusted(
+            tuple((i - 1 + p) % n + 1 for i in obj.complexion),
+            obj.exponents)
     if isinstance(obj, Polynomial):
         if obj.arity != g.arity:
             raise ValueError("arity mismatch")

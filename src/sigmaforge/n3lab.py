@@ -6,9 +6,13 @@ Every invariant polynomial reduces to a canonical triple
 z0 + z1*c + z2*c^2 whose entries are commutative polynomials in the
 three elementary sums, the central cube, and the orbit sum of the
 degree-3 alternating atom, held by ``SReduced`` on ``ring.Terms``.
-The reduction runs off a seven-entry table of low-degree orbit sums
-plus six prefix rules for higher atoms, and every derived identity can
-be certified in the free ring by exact ideal membership.
+The reduction runs off a seven-entry table of low-degree orbit sums,
+six prefix rules for higher atoms and a split of every other orbit sum
+off its first atom, and every derived identity can be certified in the
+free ring by exact ideal membership.  Every orbit sum's form is
+integral, so each is computed and cached once with int coefficients;
+rationals enter only in ``reduce_invariant``, which sums the orbits'
+forms over a common denominator and divides each term once.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import cyclic
-from .atoms import enumerate_atoms, factor_atoms, is_atom, orbit_max
+from .atoms import (enumerate_atoms, factor_atoms, is_atom, orbit_max,
+                    semigroup_product)
 from .ideal import _unit, commutator_generators, degree_slice, member
 from .linalg import RowSpace
-from .ring import (InternalError, Monomial, ONE, Polynomial, Terms,
+from .ring import (InternalError, Monomial, Polynomial, Terms,
                    parse_poly, render_poly)
 from .rewrite import orbit_decompose, orbit_product
 from .sigma import CommPoly, abelianize, build_sigma
@@ -78,12 +83,20 @@ def _normalize_d(z: CommPoly) -> CommPoly:
             z = z - CommPoly({ev: c}, 5) + base * (trace * _sym(5) - norm)
 
 
+def _integral(terms: dict, what: str) -> dict:
+    """The terms with int coefficients; every orbit form and the d^2
+    rule are integral, so a fraction is a broken invariant."""
+    if any(c.denominator != 1 for c in terms.values()):
+        raise InternalError(f"{what} has a fractional coefficient")
+    return {k: int(c) for k, c in terms.items()}
+
+
 @lru_cache(maxsize=None)
 def _d_square_terms() -> tuple:
-    """d^2 = trace*d - norm as (``SReduced`` key, coeff) pairs."""
+    """d^2 = trace*d - norm as (``SReduced`` key, int coeff) pairs."""
     trace, norm = d_square_rewrite()
-    return tuple((ev + (0,), c)
-                 for ev, c in (trace * _sym(5) - norm).terms.items())
+    rule = _integral((trace * _sym(5) - norm).terms, "the d^2 rule")
+    return tuple((ev + (0,), c) for ev, c in rule.items())
 
 
 class SReduced(Terms):
@@ -234,91 +247,112 @@ def base_table():
     return {Monomial(w, (1,) * len(w)): sr for w, sr in entries.items()}
 
 
-_S_CACHE = {}
+_S_CACHE = {}  # representative -> its form, with int coefficients
+_UNIT = (0,) * 6
+_S2 = SReduced._trusted({(0, 1, 0, 0, 0, 0): 1}, 5)
+_S3 = SReduced._trusted({(0, 0, 1, 0, 0, 0): 1}, 5)
+
+
+def _orbit_form(rep: Monomial) -> SReduced:
+    """Integral form of the orbit sum of a representative, cached."""
+    got = _S_CACHE.get(rep)
+    if got is None:
+        table = base_table()
+        if rep in table:
+            got = table[rep]
+        elif is_atom(rep, N):
+            got = _reduce_big_atom(rep)
+        else:
+            got = _reduce_composite(rep)
+        if any(type(c) is not int for c in got.terms.values()):
+            got = SReduced._trusted(_integral(got.terms, "orbit form"), 5)
+        _S_CACHE[rep] = got
+    return got
 
 
 def _s_of_letters(letters) -> SReduced:
     m = Monomial.from_letters(letters)
-    return reduce_orbit(orbit_max(m, N))
+    return _orbit_form(orbit_max(m, N))
 
 
 def reduce_orbit(rep: Monomial) -> SReduced:
     """Canonical form of the orbit sum of a representative monomial."""
     if rep.is_unit():
         raise ValueError("the unit monomial has no orbit sum")
-    rep = orbit_max(rep, N)
-    got = _S_CACHE.get(rep)
-    if got is not None:
-        return got
-    table = base_table()
-    if rep in table:
-        out = table[rep]
-    elif is_atom(rep, N):
-        out = _reduce_big_atom(rep)
-    else:
-        out = _reduce_composite(rep)
-    _S_CACHE[rep] = out
-    return out
+    form = _orbit_form(orbit_max(rep, N))
+    return SReduced._trusted(
+        {k: Fraction(c) for k, c in form.terms.items()}, 5)
 
 
 def _reduce_big_atom(rep: Monomial) -> SReduced:
     """The six prefix rules for atoms of degree at least 4."""
     L = rep.complexion
-    s2s = SReduced.scalar(_sym(2))
-    s3s = SReduced.scalar(_sym(3))
     if L[:3] == (1, 2, 3):
-        return s3s * _s_of_letters(L[3:])
+        return _S3 * _s_of_letters(L[3:])
     if L[:3] == (1, 3, 2):
-        return (s3s * _s_of_letters(L[3:])
+        return (_S3 * _s_of_letters(L[3:])
                 - _s_of_letters((2,) + L[3:]).mul_c())
     if L[:4] == (1, 2, 1, 2):
-        return (s2s * _s_of_letters((1, 2) + L[4:])
-                - s3s * _s_of_letters((1,) + L[4:])
-                - s3s * _s_of_letters((2,) + L[4:]))
+        return (_S2 * _s_of_letters((1, 2) + L[4:])
+                - _S3 * _s_of_letters((1,) + L[4:])
+                - _S3 * _s_of_letters((2,) + L[4:]))
     if L[:4] == (1, 2, 1, 3):
-        return (s3s * _s_of_letters((1,) + L[4:])
+        return (_S3 * _s_of_letters((1,) + L[4:])
                 - _s_of_letters((2, 3) + L[4:]).mul_c())
     if L[:4] == (1, 3, 1, 2):
-        return s3s * _s_of_letters((1,) + L[4:])
+        return _S3 * _s_of_letters((1,) + L[4:])
     if L[:4] == (1, 3, 1, 3):
-        return (s2s * _s_of_letters((1, 3) + L[4:])
-                - s3s * _s_of_letters((3,) + L[4:])
+        return (_S2 * _s_of_letters((1, 3) + L[4:])
+                - _S3 * _s_of_letters((3,) + L[4:])
                 - _s_of_letters((1, 2, 1, 3) + L[4:]))
     raise InternalError(f"unhandled atom prefix: {rep!r}")
 
 
 def _reduce_composite(rep: Monomial) -> SReduced:
-    """Split a squareful representative along its atom factorization:
-    the product of the atoms' orbit sums is O[rep] plus lower orbits."""
+    """Split the first atom off a squareful representative, rep = head
+    times tail in the twisted product: O[head]*O[tail] is O[rep] plus
+    two orbits of the same degree, lower because head's last letter no
+    longer merges with tail's first, and with one atom fewer."""
     factors = factor_atoms(rep, N)
-    prod = {ONE: 1}
-    sprod = SReduced.scalar(1)
-    for f in factors:
-        prod = orbit_product(prod, f, N)
-        sprod = sprod * reduce_orbit(f)
+    head, tail = factors[0], semigroup_product(factors[1:], N)
+    prod = orbit_product({head: 1}, tail, N)
     if prod.pop(rep, 0) != 1:
         raise InternalError("composite split lost its leading orbit")
     top = rep.sort_key()
     for other in prod:
         if other.sort_key() >= top:
             raise InternalError("composite split failed to decrease")
-    return sprod - _reduce_orbits(prod)
+    terms = _orbit_form(head)._product(_orbit_form(tail))
+    lower = {other: -c for other, c in prod.items()}
+    return SReduced._trusted(_sum_orbits(terms, lower), 5)
 
 
-def _reduce_orbits(orbits: dict) -> SReduced:
-    """Canonical form of a {representative: coeff} combination."""
-    total = SReduced.zero()
+def _sum_orbits(total: dict, orbits: dict) -> dict:
+    """Add the forms of an integer {representative: coeff} combination
+    into the term map ``total``, in place; zero sums are left in."""
+    get = total.get
     for rep, coeff in orbits.items():
-        total = total + (coeff if rep.is_unit()
-                         else reduce_orbit(rep).scale(coeff))
+        if rep.is_unit():
+            total[_UNIT] = get(_UNIT, 0) + coeff
+            continue
+        for k, x in _orbit_form(rep).terms.items():
+            v = get(k)
+            total[k] = x * coeff if v is None else v + x * coeff
     return total
 
 
 def reduce_invariant(p: Polynomial) -> SReduced:
-    """Canonical form of any invariant polynomial (arity 3)."""
+    """Canonical form of any invariant polynomial (arity 3): the orbit
+    coefficients over their common denominator D, summed as integers,
+    and each term divided by D once."""
     if p.arity != N:
         raise ValueError("expected an arity-3 polynomial")
-    return _reduce_orbits(orbit_decompose(p))
+    orbits = orbit_decompose(p)
+    den = math.lcm(*(c.denominator for c in orbits.values()))
+    total = _sum_orbits({}, {rep: c.numerator * (den // c.denominator)
+                             for rep, c in orbits.items()})
+    return SReduced._trusted(
+        {k: Fraction(v, den) for k, v in total.items() if v}, 5)
 
 
 def clear_caches():

@@ -11,6 +11,7 @@ the orbit sums of atoms alone.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from . import cyclic
@@ -131,20 +132,25 @@ def orbit_product(orbits: dict, b: Monomial, n: int) -> dict:
 def rewrite_invariant(p: Polynomial) -> AtomExpression:
     """Greedy expansion of an invariant polynomial over atom orbit sums.
 
-    The remainder stays a {representative: coeff} map; peeling its
-    largest orbit subtracts the closed-form product of the atoms' orbit
-    sums, whose largest orbit is the peeled one, with coefficient 1.
+    The remainder stays a {representative: coeff} map, its orbits on a
+    heap; peeling its largest orbit subtracts the closed-form product
+    of the atoms' orbit sums, whose largest orbit is the peeled one,
+    with coefficient 1.
     """
     n = p.arity
     if n < 2:
         raise ValueError("rewriting needs at least two letters")
     r = orbit_decompose(p)  # invariance gate
+    heap = [(_reversed_key(rep), rep) for rep in r]
+    heapq.heapify(heap)
     terms = {}
     guard = None
     while r:
-        lead = max(r, key=Monomial.sort_key)
-        key = lead.sort_key()
-        if guard is not None and key >= guard:
+        key, lead = heap[0]
+        if lead not in r:  # cancelled since it was pushed
+            heapq.heappop(heap)
+            continue
+        if guard is not None and key <= guard:
             raise InternalError("leading monomial failed to decrease")
         guard = key
         coeff = r[lead]
@@ -154,12 +160,24 @@ def rewrite_invariant(p: Polynomial) -> AtomExpression:
         for f in factors:
             prod = orbit_product(prod, f, n)
         for rep, c in prod.items():
-            left = r.get(rep, 0) - coeff * c
+            old = r.get(rep)
+            left = (0 if old is None else old) - coeff * c
             if left:
                 r[rep] = left
-            else:
+                if old is None:
+                    heapq.heappush(heap, (_reversed_key(rep), rep))
+            elif old is not None:
                 del r[rep]
     return AtomExpression(terms, n)
+
+
+def _reversed_key(m: Monomial) -> tuple:
+    """A key whose order is the reverse of ``Monomial.sort_key``'s, for
+    a min-heap.  At equal degree no exponent sequence is a proper
+    prefix of another, and at equal exponents the complexions have
+    equal length, so negating the degree and exponents and un-negating
+    the letters reverses every comparison."""
+    return (-m.degree, tuple(-e for e in m.exponents), m.complexion)
 
 
 def sigma_alpha_decomposition(n: int, k: int) -> dict:

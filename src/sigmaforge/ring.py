@@ -186,9 +186,9 @@ class Terms:
     @classmethod
     def _trusted(cls, terms: dict, arity: int):
         """Wrap the terms of arithmetic on valid values: the keys are
-        valid and the values exact Fractions already, so only the zeros
-        are dropped.  Takes ownership of ``terms``, a dict no one else
-        holds."""
+        valid and the values exact Fractions already (or ints, in the
+        n3 lab's integral orbit forms), so only the zeros are dropped.
+        Takes ownership of ``terms``, a dict no one else holds."""
         for k in [k for k, c in terms.items() if not c]:
             del terms[k]
         out = object.__new__(cls)

@@ -32,9 +32,13 @@ def fill():
               ideal.degree_slice(ideal.difference_generators(4), 3)]
     ideal.canonical_quadratic(parse_poly("x1*x2 - x2*x1", 3))
     inv = cyclic.orbit_polynomial(Monomial.from_letters([1, 1, 2, 1, 3]), 3)
+    # two forms of d-degree 1, whose product rewrites d^2
+    d_product = (n3lab.reduce_orbit(Monomial.from_letters([1, 2, 1]))
+                 * n3lab.reduce_orbit(Monomial.from_letters([1, 3, 1])))
     reductions = [n3lab.reduce_invariant(inv),
                   n3lab.reduce_orbit(Monomial.from_letters([1, 2, 3, 1, 3])),
-                  n3lab.expand_to_ring(n3lab.reduce_invariant(inv))]
+                  n3lab.expand_to_ring(n3lab.reduce_invariant(inv)),
+                  d_product]
     words = atoms.enumerate_atoms(3, 4)
     return slices, reductions, words
 

@@ -8,7 +8,9 @@ arithmetic result is a value the validating constructor would have
 built, with the ring (or additive group) laws holding on it.  The
 bad-input table also holds the rows ``linalg.RowSpace`` refuses: a
 row is a {column: int} dict with ``int`` columns, and a ``Fraction`` or
-``float`` entry is refused rather than truncated.
+``float`` entry is refused rather than truncated.  It also holds the
+monomial ``cyclic.act`` refuses, one with a letter beyond the arity,
+whose trusted image would be a wrong word.
 """
 
 import os
@@ -21,6 +23,7 @@ import pytest
 
 from sigmaforge import ring
 from sigmaforge.atoms import enumerate_atoms
+from sigmaforge.cyclic import CyclicShift, act
 from sigmaforge.linalg import RowSpace
 from sigmaforge.n3lab import SReduced
 from sigmaforge.rewrite import AtomExpression
@@ -97,6 +100,8 @@ BAD_INPUTS = [
      TypeError),
     ("rowspace_integral_float_column", lambda: RowSpace([{1.0: 1}], 2),
      TypeError),
+    ("act_beyond_arity",
+     lambda: act(CyclicShift(0, 3), Monomial((1, 5), (1, 1))), ValueError),
 ]
 
 
