@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RowSpace
@@ -68,25 +67,27 @@ def mat_rank(m) -> int:
     return RowSpace(rows, len(m[0]) if m else 0).rank
 
 
-@dataclass(frozen=True)
 class MatrixTuple:
-    """n square rational matrices sharing one dimension."""
+    """n square rational matrices sharing one dimension; immutable.
 
-    n: int
-    dim: int
-    mats: tuple
+    A plain class, not a dataclass: importing ``dataclasses`` loads
+    ``inspect``, ``ast`` and ``dis``, about 1 MB of resident memory in
+    every process that imports this module.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("n", "dim", "mats")
+
+    def __init__(self, n: int, dim: int, mats: tuple):
+        if n < 1:
             raise ValueError("need at least one matrix")
-        if self.dim < 1:
+        if dim < 1:
             raise ValueError("matrix dimension must be positive")
-        if len(self.mats) != self.n:
-            raise ValueError(f"expected {self.n} matrices, got {len(self.mats)}")
+        if len(mats) != n:
+            raise ValueError(f"expected {n} matrices, got {len(mats)}")
         frozen = []
-        for m in self.mats:
+        for m in mats:
             rows = tuple(tuple(row) for row in m)
-            if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
+            if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise ValueError("matrices must be square of equal dimension")
             for row in rows:
                 for x in row:
@@ -94,7 +95,28 @@ class MatrixTuple:
                         raise ValueError(
                             f"entries must be rational, got {type(x).__name__}")
             frozen.append(rows)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "mats", tuple(frozen))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MatrixTuple is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not MatrixTuple:
+            return NotImplemented
+        return (self.n, self.dim, self.mats) == (other.n, other.dim,
+                                                 other.mats)
+
+    def __hash__(self):
+        return hash((self.n, self.dim, self.mats))
+
+    def __reduce__(self):  # unpickling must not go through __setattr__
+        return MatrixTuple, (self.n, self.dim, self.mats)
+
+    def __repr__(self):
+        return (f"MatrixTuple(n={self.n!r}, dim={self.dim!r}, "
+                f"mats={self.mats!r})")
 
     @classmethod
     def from_mats(cls, mats) -> "MatrixTuple":

@@ -2,16 +2,14 @@
 
 Every polynomial fixed by the cyclic shift decomposes as a rational
 combination of full orbit sums, and each orbit representative factors
-freely into atoms.  The greedy rewriter repeatedly peels the largest
-remaining orbit, replaces it by the product of its atoms' orbit sums,
-and keeps the formal product as a term; the leading monomial drops
-strictly at every step, so the loop terminates with an expression in
-the orbit sums of atoms alone.
+freely into atoms.  A product of atom orbit sums merges or glues the
+atoms at each boundary, so inclusion-exclusion over the boundaries
+writes each orbit sum, and so each invariant, in closed form over
+products of atom orbit sums.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 
 from . import cyclic
@@ -130,54 +128,55 @@ def orbit_product(orbits: dict, b: Monomial, n: int) -> dict:
 
 
 def rewrite_invariant(p: Polynomial) -> AtomExpression:
-    """Greedy expansion of an invariant polynomial over atom orbit sums.
-
-    The remainder stays a {representative: coeff} map, its orbits on a
-    heap; peeling its largest orbit subtracts the closed-form product
-    of the atoms' orbit sums, whose largest orbit is the peeled one,
-    with coefficient 1.
-    """
+    """Expansion of an invariant polynomial over atom orbit sums: each
+    orbit's coefficient times its ``_orbit_expansion``, the constant
+    term under ``()``; unique, as that basis is unitriangular."""
     n = p.arity
     if n < 2:
         raise ValueError("rewriting needs at least two letters")
-    r = orbit_decompose(p)  # invariance gate
-    heap = [(_reversed_key(rep), rep) for rep in r]
-    heapq.heapify(heap)
     terms = {}
-    guard = None
-    while r:
-        key, lead = heap[0]
-        if lead not in r:  # cancelled since it was pushed
-            heapq.heappop(heap)
+    for rep, c in orbit_decompose(p).items():  # invariance gate
+        if rep.is_unit():
+            terms[()] = c
             continue
-        if guard is not None and key <= guard:
-            raise InternalError("leading monomial failed to decrease")
-        guard = key
-        coeff = r[lead]
-        factors = tuple(factor_atoms(lead, n))
-        terms[factors] = coeff
-        prod = {ONE: 1}
-        for f in factors:
-            prod = orbit_product(prod, f, n)
-        for rep, c in prod.items():
-            old = r.get(rep)
-            left = (0 if old is None else old) - coeff * c
-            if left:
-                r[rep] = left
-                if old is None:
-                    heapq.heappush(heap, (_reversed_key(rep), rep))
-            elif old is not None:
-                del r[rep]
-    return AtomExpression(terms, n)
+        factors = tuple(factor_atoms(rep, n))
+        expansion = _orbit_expansion(factors, n)
+        if (len(expansion) != n ** (len(factors) - 1)
+                or expansion.get(factors) != 1):
+            raise InternalError(f"orbit expansion of {rep} is wrong")
+        signed = {1: c, -1: -c}
+        for key, sign in expansion.items():
+            x = terms.get(key)
+            terms[key] = signed[sign] if x is None else x + signed[sign]
+    return AtomExpression._trusted(terms, n)
 
 
-def _reversed_key(m: Monomial) -> tuple:
-    """A key whose order is the reverse of ``Monomial.sort_key``'s, for
-    a min-heap.  At equal degree no exponent sequence is a proper
-    prefix of another, and at equal exponents the complexions have
-    equal length, so negating the degree and exponents and un-negating
-    the letters reverses every comparison."""
-    return (-m.degree, tuple(-e for e in m.exponents), m.complexion)
+def _orbit_expansion(factors: tuple, n: int) -> dict:
+    """``O[f1∘…∘fk]`` as ``{blocks: ±1}``, for the atoms ``factors``.
+
+    Each of the k−1 boundaries in ``O[f1]⋯O[fk]`` merges the next atom
+    into the letter before it (one rotation) or glues it on into a
+    longer atom (n−1 rotations).  Inverting over the glued boundaries
+    (Möbius inversion on a boolean lattice) gives ``O[f1∘…∘fk] =
+    Σ (−1)^{#glued} Π O[block]``, the blocks in order: n^(k−1) keys,
+    the all-merge one ``factors`` itself.
+    """
+    states = [((), factors[0].complexion)]  # (closed blocks, open block)
+    for f in factors[1:]:
+        turns = [tuple((c + s - 1) % n + 1 for c in f.complexion)
+                 for s in range(n)]  # turns[s] starts with letter s + 1
+        nxt = []
+        for done, cur in states:
+            nxt.append((done + (_atom(cur),), f.complexion))  # merge
+            nxt.extend((done, cur + t) for s, t in enumerate(turns)
+                       if s != cur[-1] - 1)  # glue
+        states = nxt
+    return {done + (_atom(cur),): (-1) ** (len(factors) - 1 - len(done))
+            for done, cur in states}
+
+
+def _atom(letters: tuple) -> Monomial:
+    return Monomial._trusted(letters, (1,) * len(letters))
 
 
 def sigma_alpha_decomposition(n: int, k: int) -> dict:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from sigmaforge import cli
 from sigmaforge.ideal import difference_generators
@@ -72,6 +75,26 @@ def test_rewrite_command(capsys):
     code, out, _ = run(capsys, "rewrite", "x1^2 + x2^2 + x3^2", "--n", "3")
     assert code == 0
     assert out.strip() == "-O[x1*x2] - O[x1*x3] + O[x1]^2"
+
+
+@pytest.mark.parametrize("polynomial, n, output, digest", [
+    ("x1^5+x2^5+x3^5+x4^5", "4", "text",
+     "94b4f7e482340c45404a11bda0541688bdf4582203dc22925ed7148719e8d0c1"),
+    ("x1^5+x2^5+x3^5+x4^5", "4", "json",
+     "cd7d8c6c386f669669a05016ca550243efa3ee622ca9ddf438860afab41348b6"),
+    ("x1^3*x2^2*x3 + x2^3*x3^2*x1 + x3^3*x1^2*x2", "3", "text",
+     "3c34db50b46f3d08926f09c8848130d210c32115578c7d6e1928c7df31ff9936"),
+    ("x1^3*x2^2*x3 + x2^3*x3^2*x1 + x3^3*x1^2*x2", "3", "json",
+     "cf0df09f6b1d337c6ea2e586f3acf55b51e522c54d8e7be23bae1c7a8364171c"),
+], ids=["n4-text", "n4-json", "n3-text", "n3-json"])
+def test_rewrite_stdout_is_pinned(capsys, polynomial, n, output, digest):
+    """sha256 of the whole stdout; the digests were taken from the
+    earlier greedy rewriter, so the closed form matches it byte for
+    byte."""
+    code, out, _ = run(capsys, "rewrite", polynomial, "--n", n,
+                       "--output", output)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_rewrite_rejects_noninvariant(capsys):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -212,6 +213,17 @@ def test_matrix_tuple_validation():
         MatrixTuple.from_mats((((1, 0),),))
     with pytest.raises(ValueError):
         MatrixTuple.from_mats((((0.5, 0), (0, 1)),))
+
+
+def test_matrix_tuple_is_an_immutable_value():
+    t = MatrixTuple.from_mats(CANDIDATE.mats)
+    assert t == CANDIDATE and hash(t) == hash(CANDIDATE)
+    assert t != t.rotated() and t != CANDIDATE.mats
+    assert repr(t).startswith("MatrixTuple(n=3, dim=2, mats=(((-2, -2),")
+    with pytest.raises(AttributeError):
+        t.n = 4
+    # search workers receive tuples pickled
+    assert pickle.loads(pickle.dumps(t)) == t
 
 
 def test_rotation():

@@ -163,6 +163,25 @@ def test_rewrite_matches_free_ring_rewrite():
                                  for c in got.terms.values())
 
 
+@pytest.mark.parametrize("n, degrees, power", [
+    (3, (5, 7), 7), (4, (5, 7), 5), (5, (3, 5), 4), (6, (3, 5), 4)],
+    ids=["n3", "n4", "n5", "n6"])
+def test_rewrite_matches_free_ring_rewrite_wider(n, degrees, power):
+    """Arities 5 and 6 and degree 7, plus the power orbit O[x1^power],
+    which has the most atoms at its degree."""
+    rng = random.Random(f"differential:rewrite:{n}")
+    invariants = [cyclic.orbit_polynomial(Monomial((1,), (power,)), n)]
+    for i in range(30):
+        orbits = {ONE: random_rational(rng)} if i % 4 == 0 else {}
+        for _ in range(rng.randint(1, 2)):
+            rep = orbit_max(random_word(rng, n, rng.randint(*degrees)), n)
+            orbits[rep] = random_rational(rng)
+        invariants.append(as_polynomial(orbits, n))
+    assert max(p.degree() for p in invariants) == degrees[1]
+    for p in invariants:
+        assert rewrite_invariant(p) == free_ring_rewrite(p)
+
+
 CHECKS_UNDER_O = """
 from fractions import Fraction
 from sigmaforge import n3lab, rewrite
@@ -184,11 +203,18 @@ def outcome(name, call, exc):
 
 outcome("invariance_gate",
         lambda: rewrite.rewrite_invariant(parse_poly("x1*x2", 3)), ValueError)
-# a product that leaves the leading orbit behind
-rewrite.orbit_product = lambda orbits, b, n: {}
-outcome("lead_decreases",
-        lambda: rewrite.rewrite_invariant(parse_poly("x1^2 + x2^2 + x3^2", 3)),
+squares = parse_poly("x1^2 + x2^2 + x3^2", 3)
+expansion = rewrite._orbit_expansion
+# two keys that collide leave one key too few
+rewrite._orbit_expansion = lambda factors, n: dict(
+    list(expansion(factors, n).items())[:-1])
+outcome("expansion_size", lambda: rewrite.rewrite_invariant(squares),
         InternalError)
+rewrite._orbit_expansion = lambda factors, n: {
+    **expansion(factors, n), factors: -1}
+outcome("expansion_lead", lambda: rewrite.rewrite_invariant(squares),
+        InternalError)
+rewrite._orbit_expansion = expansion
 n3lab.orbit_product = lambda orbits, b, n: {
     k: 2 * c for k, c in closed_form(orbits, b, n).items()}
 outcome("leading_coefficient_one",
@@ -204,13 +230,14 @@ print("debug", __debug__)
 def test_reduction_checks_raise_under_python_O():
     src = str(Path(rewrite.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    # a guard that does not fire leaves the rewriter looping: time out
+    # a guard that does not fire may leave a reduction looping: time out
     out = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O],
                          env=env, capture_output=True, text=True, check=True,
                          timeout=60)
     assert out.stdout.splitlines() == [
         "invariance_gate raised ValueError",
-        "lead_decreases raised InternalError",
+        "expansion_size raised InternalError",
+        "expansion_lead raised InternalError",
         "leading_coefficient_one raised InternalError",
         "composite_decreases raised InternalError",
         "debug False",

@@ -1,14 +1,16 @@
-"""Greedy rewriting of invariants over atom orbit sums."""
+"""Closed-form rewriting of invariants over atom orbit sums."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from sigmaforge import cyclic
+from sigmaforge import cyclic, rewrite
+from sigmaforge.atoms import factor_atoms, is_atom, semigroup_product
 from sigmaforge.rewrite import (
     AtomExpression,
     orbit_decompose,
+    orbit_product,
     rewrite_invariant,
     sigma_alpha_decomposition,
 )
@@ -56,6 +58,44 @@ def test_rewrite_cubes_worked_example():
         " - O[x1*x2]*O[x1] - O[x1*x3]*O[x1]"
         " - O[x1]*O[x1*x2] - O[x1]*O[x1*x3] + O[x1]^3")
     assert e.evaluate() == p
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_orbit_expansion_shape(n):
+    """One orbit expands to n^(k-1) keys, one per word of the product of
+    its k atoms' orbit sums, each with sign (-1)^(glued boundaries)."""
+    rng = random.Random(f"expansion-shape:{n}")
+    for _ in range(25):
+        word = [rng.randint(1, n) for _ in range(rng.randint(1, 6))]
+        factors = tuple(factor_atoms(Monomial.from_letters(word), n))
+        k = len(factors)
+        expansion = rewrite._orbit_expansion(factors, n)
+        assert len(expansion) == n ** (k - 1)
+        assert expansion[factors] == 1
+        product = {ONE: 1}
+        for f in factors:
+            product = orbit_product(product, f, n)
+        # letter positions of the k-1 boundaries between the atoms
+        ends = [sum(f.degree for f in factors[:i]) for i in range(1, k)]
+        words = set()
+        for key, sign in expansion.items():
+            assert sign in (1, -1)
+            assert all(is_atom(f, n) for f in key)
+            w = semigroup_product(key, n)
+            assert tuple(factor_atoms(w, n)) == key
+            letters = w.letters()
+            glued = sum(letters[e - 1] != letters[e] for e in ends)
+            assert sign == (-1) ** glued
+            words.add(w)
+        assert words == set(product)
+
+
+def test_rewrite_seventh_power_orbit_has_4096_terms():
+    p = cyclic.orbit_polynomial(om("x1^7", 4), 4)
+    e = rewrite_invariant(p)
+    assert len(e.terms) == 4 ** 6
+    assert set(e.terms.values()) == {1, -1}
+    assert e.terms[(a([1]),) * 7] == 1
 
 
 def test_orbit_decompose_basics():
