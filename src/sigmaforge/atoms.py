@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclic import CyclicShift, act, orbit
+from .cyclic import act
 from .ring import InternalError, Monomial, ONE
 
 
@@ -22,7 +22,7 @@ def is_orbit_max(m: Monomial, n: int) -> bool:
     if m.is_unit():
         raise ValueError("the unit monomial has no orbit representative")
     _check_letters(m, n)
-    return m.complexion[0] == 1
+    return m.word[0] == 1
 
 
 def orbit_max(m: Monomial, n: int) -> Monomial:
@@ -30,10 +30,9 @@ def orbit_max(m: Monomial, n: int) -> Monomial:
     if m.is_unit():
         raise ValueError("the unit monomial has no orbit representative")
     _check_letters(m, n)
-    if m.complexion[0] == 1:
+    if m.word[0] == 1:
         return m
-    shift = CyclicShift((1 - m.complexion[0]) % n, n)
-    return act(shift, m)
+    return act(1 - m.word[0], m, n)
 
 
 def _check_letters(m: Monomial, n: int):
@@ -42,11 +41,13 @@ def _check_letters(m: Monomial, n: int):
 
 
 def is_atom(m: Monomial, n: int) -> bool:
-    """Square-free orbit representative: first letter 1, all exponents 1."""
+    """Square-free orbit representative: first letter 1, no two equal
+    neighbours."""
     if m.is_unit():
         return False
     _check_letters(m, n)
-    return m.complexion[0] == 1 and all(e == 1 for e in m.exponents)
+    w = m.word
+    return w[0] == 1 and all(a != b for a, b in zip(w, w[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -64,7 +65,7 @@ def enumerate_atoms(n: int, degree: int) -> tuple:
     for _ in range(degree - 1):
         words = [w + (c,) for w in words
                  for c in range(1, n + 1) if c != w[-1]]
-    return tuple(Monomial(tuple(w), (1,) * degree) for w in words)
+    return tuple(Monomial._trusted(w) for w in words)
 
 
 def clear_caches():
@@ -75,8 +76,8 @@ def clear_caches():
 def semigroup_mul(u: Monomial, v: Monomial, n: int) -> Monomial:
     """Twisted product of orbit representatives.
 
-    Rotate v so its first letter matches u's last letter, then multiply;
-    the shared boundary letter merges into one run.  The unit is the
+    Rotate v so its first letter matches u's last letter, then
+    concatenate; the boundary letter repeats.  The unit is the
     identity on both sides.
     """
     if u.is_unit():
@@ -85,8 +86,7 @@ def semigroup_mul(u: Monomial, v: Monomial, n: int) -> Monomial:
         return u
     _check_letters(u, n)
     _check_letters(v, n)
-    shift = CyclicShift((u.complexion[-1] - v.complexion[0]) % n, n)
-    return u * act(shift, v)
+    return u * act(u.word[-1] - v.word[0], v, n)
 
 
 def semigroup_product(factors, n: int) -> Monomial:
@@ -106,19 +106,11 @@ def factor_atoms(m: Monomial, n: int) -> list:
     if m.is_unit():
         return []
     rep = orbit_max(m, n)
-    letters = list(rep.letters())
-    segments = []
-    start = 0
-    for i in range(1, len(letters)):
-        if letters[i] == letters[i - 1]:
-            segments.append(letters[start:i])
-            start = i
-    segments.append(letters[start:])
+    letters = rep.word
+    cuts = [i for i in range(1, len(letters)) if letters[i] == letters[i - 1]]
     factors = []
-    for seg in segments:
-        shift = (1 - seg[0]) % n
-        word = tuple((c - 1 + shift) % n + 1 for c in seg)
-        atom = Monomial(word, (1,) * len(word))
+    for a, b in zip([0] + cuts, cuts + [len(letters)]):
+        atom = orbit_max(Monomial._trusted(letters[a:b]), n)
         if not is_atom(atom, n):
             raise InternalError(f"cut produced a non-atom from {rep}")
         factors.append(atom)

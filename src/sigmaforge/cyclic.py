@@ -1,9 +1,9 @@
 """Action of the cyclic group generated by (1 2 ... n) on monomials.
 
-The group acts on complexions only: the power-g shift sends generator
-index i to ((i - 1 + g) mod n) + 1 and leaves exponents alone.  Orbits
-of nonunit monomials always have exactly n distinct members because the
-leading index takes all n values around the orbit.
+A rotation is an integer r, taken mod n: it sends each letter i of a
+word to ((i - 1 + r) mod n) + 1.  Orbits of nonunit monomials always
+have exactly n distinct members because the first letter takes all n
+values around the orbit.
 """
 
 from __future__ import annotations
@@ -13,73 +13,25 @@ from fractions import Fraction
 from .ring import InternalError, Monomial, Polynomial
 
 
-class CyclicShift:
-    """Power of the n-cycle, acting on generator indices."""
+def act(r: int, obj, n: int):
+    """Rotate a Monomial or a Polynomial by r steps of the n-cycle.
 
-    __slots__ = ("power", "arity")
-
-    def __init__(self, power: int, arity: int):
-        if arity < 1:
-            raise ValueError("arity must be >= 1")
-        object.__setattr__(self, "power", power % arity)
-        object.__setattr__(self, "arity", arity)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicShift is immutable")
-
-    @classmethod
-    def identity(cls, arity: int) -> "CyclicShift":
-        return cls(0, arity)
-
-    def __mul__(self, other):
-        if not isinstance(other, CyclicShift):
-            return NotImplemented
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        return CyclicShift(self.power + other.power, self.arity)
-
-    def inverse(self) -> "CyclicShift":
-        return CyclicShift(-self.power, self.arity)
-
-    def __eq__(self, other):
-        return (isinstance(other, CyclicShift)
-                and self.power == other.power and self.arity == other.arity)
-
-    def __hash__(self):
-        return hash((self.power, self.arity))
-
-    def __repr__(self):
-        return f"CyclicShift({self.power}, n={self.arity})"
-
-    def apply_index(self, i: int) -> int:
-        return (i - 1 + self.power) % self.arity + 1
-
-
-def all_shifts(n: int):
-    return [CyclicShift(g, n) for g in range(n)]
-
-
-def act(g: CyclicShift, obj):
-    """Apply a shift to a Monomial or a Polynomial.
-
-    A monomial must use letters 1..n only: the shift relabels them
-    bijectively and keeps neighbours distinct, so the image is a valid
-    word as it stands.
+    A monomial must use letters 1..n only: the rotation relabels them
+    bijectively, so the image is a valid word as it stands.
     """
+    if n < 1:
+        raise ValueError("arity must be >= 1")
     if isinstance(obj, Monomial):
-        if obj.max_index() > g.arity:
-            raise ValueError(f"monomial exceeds arity {g.arity}")
-        p, n = g.power, g.arity
-        if not p:  # the identity; a monomial is immutable
+        if obj.max_index() > n:
+            raise ValueError(f"monomial exceeds arity {n}")
+        r %= n
+        if not r:  # the identity; a monomial is immutable
             return obj
-        return Monomial._trusted(
-            tuple((i - 1 + p) % n + 1 for i in obj.complexion),
-            obj.exponents)
+        return Monomial._trusted(tuple((i - 1 + r) % n + 1 for i in obj.word))
     if isinstance(obj, Polynomial):
-        if obj.arity != g.arity:
+        if obj.arity != n:
             raise ValueError("arity mismatch")
-        return Polynomial({act(g, m): c for m, c in obj.terms.items()},
-                          obj.arity)
+        return Polynomial({act(r, m, n): c for m, c in obj.terms.items()}, n)
     raise TypeError(f"cannot act on {type(obj)!r}")
 
 
@@ -89,7 +41,7 @@ def orbit(m: Monomial, n: int) -> list:
         raise ValueError("the unit monomial has no orbit here")
     if m.max_index() > n:
         raise ValueError(f"monomial exceeds arity {n}")
-    out = [act(g, m) for g in all_shifts(n)]
+    out = [act(r, m, n) for r in range(n)]
     if len(set(out)) != n:
         raise InternalError("orbit collapsed; action is broken")
     return out
@@ -100,13 +52,13 @@ def orbit_polynomial(m: Monomial, n: int) -> Polynomial:
 
 
 def is_invariant(p: Polynomial) -> bool:
-    return act(CyclicShift(1, p.arity), p) == p
+    return act(1, p, p.arity) == p
 
 
 def average(p: Polynomial) -> Polynomial:
     """Group average; always invariant, fixes p when p is invariant."""
     n = p.arity
     total = Polynomial.zero(n)
-    for g in all_shifts(n):
-        total = total + act(g, p)
+    for r in range(n):
+        total = total + act(r, p, n)
     return total * Fraction(1, n)

@@ -74,7 +74,7 @@ class GeneratorSet:
         object.__setattr__(self, "_integer", integer)
         object.__setattr__(self, "_codes", tuple(
             (g.degree(),
-             tuple(zip(_word_codes(gvec, n, g.degree()), gvec.values())))
+             tuple(zip(_word_codes(gvec, n), gvec.values())))
             for g, (_, gvec) in zip(gens, integer)))
 
     def __setattr__(self, name, value):
@@ -115,8 +115,8 @@ def difference_generators(n: int) -> GeneratorSet:
     gens = []
     for k in range(1, n + 1):
         sk = build_sigma(n, k)
-        for g in cyclic.all_shifts(n)[1:]:
-            diff = sk - cyclic.act(g, sk)
+        for r in range(1, n):
+            diff = sk - cyclic.act(r, sk, n)
             if not diff.is_zero():
                 gens.append(diff)
     return GeneratorSet(DIFFERENCES, n, gens)
@@ -140,26 +140,16 @@ def _integerized(p: Polynomial):
                    for m, c in p.terms.items()}
 
 
-@lru_cache(maxsize=None)
-def _letter_runs(n: int, k: int):
-    """``runs[i][e]`` = (n**e, code of x_i^e) for letters i in 1..n and
-    e <= k, the code of x_i^e being the digit i-1 e times."""
-    return tuple(tuple((n ** e, (i - 1) * sum(n ** j for j in range(e)))
-                       for e in range(k + 1)) for i in range(n + 1))
-
-
-def _word_codes(words, n: int, k: int) -> list:
-    """Base-n code of each degree-k word: letters 1..n are the digits
-    0..n-1, the first letter the most significant, so code(w*x_i^e) =
-    code(w)*n^e + code(x_i^e).  Words of one degree get distinct codes,
-    and code(u*m*v) = (code(u)*n^|m| + code(m))*n^|v| + code(v)."""
-    runs = _letter_runs(n, k)
+def _word_codes(words, n: int) -> list:
+    """Base-n code of each word: letters 1..n are the digits 0..n-1,
+    the first letter the most significant.  Words of one degree get
+    distinct codes, and code(u*m*v) = (code(u)*n^|m| + code(m))*n^|v|
+    + code(v)."""
     out = []
     for w in words:
         code = 0
-        for i, e in zip(w.complexion, w.exponents):
-            m, a = runs[i][e]
-            code = code * m + a
+        for i in w.word:
+            code = code * n + i - 1
         out.append(code)
     return out
 
@@ -169,7 +159,7 @@ def _code_table(n: int, k: int):
     """(codes, places) for the degree-k words: ``codes[p]`` is the code
     of the word at position p of ``basis_words(n, k)``, and
     ``places[c]`` the position of the word with code c."""
-    codes = tuple(_word_codes(basis_words(n, k), n, k))
+    codes = tuple(_word_codes(basis_words(n, k), n))
     places = [0] * len(codes)
     for p, c in enumerate(codes):
         places[c] = p
@@ -313,8 +303,7 @@ class DegreeSlice:
         scale, terms = _integerized(p)
         col = _code_table(self.n, self.degree)[1]
         return scale, {col[c]: x for c, x in
-                       zip(_word_codes(terms, self.n, self.degree),
-                           terms.values())}
+                       zip(_word_codes(terms, self.n), terms.values())}
 
     def contains(self, p: Polynomial) -> bool:
         return self.space.contains(self.vector_of(p)[1])
@@ -382,7 +371,6 @@ def clear_caches():
     difference_generators.cache_clear()
     _canonical_quadratic_space.cache_clear()
     _code_table.cache_clear()
-    _letter_runs.cache_clear()
 
 
 def degree_slice(gset: GeneratorSet, degree: int,

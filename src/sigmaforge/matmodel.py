@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -315,11 +316,13 @@ def zero_divisor_search(params, jobs: int = 1) -> dict:
     drawn = [random_tuple(family, n, dim, rng) for _ in range(budget)]
     indexed = list(enumerate(drawn))
     results = None
-    if jobs > 1 and indexed:
+    # more workers than tuples or cores buys nothing; one runs serially
+    workers = min(jobs, budget, os.cpu_count() or 1)
+    if workers > 1:
         try:
             from multiprocessing import Pool
 
-            with Pool(jobs) as pool:
+            with Pool(workers) as pool:
                 results = pool.map(_examine, indexed)
         except OSError:
             results = None

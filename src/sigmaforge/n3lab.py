@@ -286,7 +286,7 @@ def reduce_orbit(rep: Monomial) -> SReduced:
 
 def _reduce_big_atom(rep: Monomial) -> SReduced:
     """The six prefix rules for atoms of degree at least 4."""
-    L = rep.complexion
+    L = rep.word
     if L[:3] == (1, 2, 3):
         return _S3 * _s_of_letters(L[3:])
     if L[:3] == (1, 3, 2):
@@ -466,7 +466,7 @@ def _check_word_shift_gaps():
     out = []
     w = parse_poly("x1*x2*x3", N)
     for r in (1, 2):
-        p = w - cyclic.act(cyclic.CyclicShift(r, N), w)
+        p = w - cyclic.act(r, w, N)
         ok = member(p, gset).member
         out.append(_unit("n3_word_shift_member", N, 3, ok,
                          {"shift": r, "member": ok}))

@@ -120,7 +120,7 @@ def orbit_product(orbits: dict, b: Monomial, n: int) -> dict:
     for a, c in orbits.items():
         if a.is_unit():
             out[orbit_max(b, n)] = c
-        elif a.complexion[0] == 1:
+        elif a.word[0] == 1:
             out.update((a * u, c) for u in images)
         else:
             raise ValueError(f"{a!r} is not an orbit representative")
@@ -161,22 +161,19 @@ def _orbit_expansion(factors: tuple, n: int) -> dict:
     Σ (−1)^{#glued} Π O[block]``, the blocks in order: n^(k−1) keys,
     the all-merge one ``factors`` itself.
     """
-    states = [((), factors[0].complexion)]  # (closed blocks, open block)
+    states = [((), factors[0].word)]  # (closed blocks, open block)
     for f in factors[1:]:
-        turns = [tuple((c + s - 1) % n + 1 for c in f.complexion)
-                 for s in range(n)]  # turns[s] starts with letter s + 1
+        # turns[s] starts with letter s + 1
+        turns = [cyclic.act(s, f, n).word for s in range(n)]
         nxt = []
         for done, cur in states:
-            nxt.append((done + (_atom(cur),), f.complexion))  # merge
+            nxt.append((done + (Monomial._trusted(cur),), f.word))  # merge
             nxt.extend((done, cur + t) for s, t in enumerate(turns)
                        if s != cur[-1] - 1)  # glue
         states = nxt
-    return {done + (_atom(cur),): (-1) ** (len(factors) - 1 - len(done))
+    return {done + (Monomial._trusted(cur),):
+            (-1) ** (len(factors) - 1 - len(done))
             for done, cur in states}
-
-
-def _atom(letters: tuple) -> Monomial:
-    return Monomial._trusted(letters, (1,) * len(letters))
 
 
 def sigma_alpha_decomposition(n: int, k: int) -> dict:
@@ -192,15 +189,14 @@ def sigma_alpha_decomposition(n: int, k: int) -> dict:
 
     sk = build_sigma(n, k)
     total = Polynomial.zero(n)
-    for g in cyclic.all_shifts(n):
-        total = total + cyclic.act(g, sk)
+    for r in range(n):
+        total = total + cyclic.act(r, sk, n)
     got = orbit_decompose(total)
     expected = {}
     for rep, c in got.items():
         rising = sum(
             1 for w in cyclic.orbit(rep, n)
-            if all(a < b for a, b in zip(w.complexion, w.complexion[1:]))
-            and all(e == 1 for e in w.exponents))
+            if all(a < b for a, b in zip(w.word, w.word[1:])))
         expected[rep] = Fraction(rising)
     if got != expected:
         raise AssertionError(

@@ -1,8 +1,9 @@
 """Free associative ring over Q on noncommuting generators x1, x2, ....
 
-Monomials are stored run-length: a complexion (sequence of generator
-indices, adjacent entries distinct) plus matching positive exponents.
-The empty monomial is the ring unit.  Polynomials are finite maps from
+A monomial is the tuple of its letters (generator indices); the empty
+word is the ring unit.  The run-length view, a complexion of distinct
+neighbouring indices with their positive exponents, is read only by the
+monomial order and the printer.  Polynomials are finite maps from
 monomials to nonzero rational coefficients.
 """
 
@@ -18,10 +19,15 @@ class InternalError(AssertionError):
     """A broken internal invariant, where AssertionError is a failed check."""
 
 
-class Monomial:
-    """Immutable word in the generators, run-length encoded."""
+def _check_letter(i):
+    if not isinstance(i, int) or i < 1:
+        raise ValueError(f"bad generator index {i!r}")
 
-    __slots__ = ("complexion", "exponents")
+
+class Monomial:
+    """Immutable word in the generators: the tuple of its letters."""
+
+    __slots__ = ("word",)
 
     def __init__(self, complexion=(), exponents=()):
         complexion = tuple(complexion)
@@ -29,93 +35,73 @@ class Monomial:
         if len(complexion) != len(exponents):
             raise ValueError("complexion and exponents differ in length")
         for i in complexion:
-            if not isinstance(i, int) or i < 1:
-                raise ValueError(f"bad generator index {i!r}")
+            _check_letter(i)
         for a, b in zip(complexion, complexion[1:]):
             if a == b:
                 raise ValueError("adjacent complexion entries must differ")
         for e in exponents:
             if not isinstance(e, int) or e < 1:
                 raise ValueError(f"bad exponent {e!r}")
-        object.__setattr__(self, "complexion", complexion)
-        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "word", tuple(
+            i for i, e in zip(complexion, exponents) for _ in range(e)))
 
     @classmethod
-    def _trusted(cls, complexion: tuple, exponents: tuple) -> "Monomial":
-        """Wrap a product of valid monomials: the run-length word is
-        valid already, so nothing is checked."""
+    def _trusted(cls, word: tuple) -> "Monomial":
+        """Wrap a tuple of valid letters; nothing is checked."""
         out = object.__new__(cls)
-        object.__setattr__(out, "complexion", complexion)
-        object.__setattr__(out, "exponents", exponents)
+        object.__setattr__(out, "word", word)
         return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
 
+    def __reduce__(self):
+        return (Monomial.from_letters, (self.word,))
+
     @classmethod
     def from_letters(cls, letters) -> "Monomial":
         """Build from a plain sequence of generator indices."""
-        comp = []
-        exps = []
-        for i in letters:
-            if comp and comp[-1] == i:
-                exps[-1] += 1
-            else:
-                comp.append(i)
-                exps.append(1)
-        return cls(comp, exps)
+        word = tuple(letters)
+        for i in word:
+            _check_letter(i)
+        return cls._trusted(word)
 
-    def letters(self) -> tuple:
-        out = []
-        for i, e in zip(self.complexion, self.exponents):
-            out.extend([i] * e)
-        return tuple(out)
+    @property
+    def complexion(self) -> tuple:
+        """The letter of each run of equal letters."""
+        return tuple(i for i, _ in itertools.groupby(self.word))
+
+    @property
+    def exponents(self) -> tuple:
+        """The length of each run of equal letters."""
+        return tuple(len(tuple(run)) for _, run in itertools.groupby(self.word))
 
     @property
     def degree(self) -> int:
-        return sum(self.exponents)
+        return len(self.word)
 
     def is_unit(self) -> bool:
-        return not self.complexion
+        return not self.word
 
     def max_index(self) -> int:
-        return max(self.complexion, default=0)
+        return max(self.word, default=0)
 
     def __mul__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
-        if not self.complexion:
-            return other
-        if not other.complexion:
-            return self
-        if self.complexion[-1] == other.complexion[0]:
-            comp = self.complexion + other.complexion[1:]
-            exps = (self.exponents[:-1]
-                    + (self.exponents[-1] + other.exponents[0],)
-                    + other.exponents[1:])
-        else:
-            comp = self.complexion + other.complexion
-            exps = self.exponents + other.exponents
-        return Monomial._trusted(comp, exps)
+        return Monomial._trusted(self.word + other.word)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if k == 0 or not self.complexion:
-            return Monomial()
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        return Monomial._trusted(self.word * k)
 
     def __eq__(self, other):
-        return (isinstance(other, Monomial)
-                and self.complexion == other.complexion
-                and self.exponents == other.exponents)
+        return isinstance(other, Monomial) and self.word == other.word
 
     def __hash__(self):
         # not stored: a stored hash is a 36-byte int per live monomial
-        return hash((self.complexion, self.exponents))
+        return hash(self.word)
 
     def sort_key(self):
         """Key whose natural order is the monomial order used everywhere.
@@ -198,6 +184,9 @@ class Terms:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (self._trusted, (dict(self.terms), self.arity))
 
     @classmethod
     def zero(cls, arity: int):

@@ -135,8 +135,8 @@ def abelianize(p: Polynomial) -> CommPoly:
     terms = {}
     for m, c in p.terms.items():
         ev = [0] * n
-        for i, e in zip(m.complexion, m.exponents):
-            ev[i - 1] += e
+        for i in m.word:
+            ev[i - 1] += 1
         ev = tuple(ev)
         terms[ev] = terms.get(ev, Fraction(0)) + c
     return CommPoly(terms, n)

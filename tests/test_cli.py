@@ -97,6 +97,29 @@ def test_rewrite_stdout_is_pinned(capsys, polynomial, n, output, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,code,digest", [
+    (("verify", "cor_1_4", "--n", "4"), 0,
+     "f35aa8f318dbaf7f2c42bdd4602c49864cd20bfb7191cf30e68178de3908c0ae"),
+    (("verify", "eq_4", "--n", "5"), 0,
+     "b4a444619b2760376ca81fb6a3271baeec6eae6aa5c2f430b0ab4430b7c3ae4c"),
+    (("member", "x1*x2*x3 - x3*x2*x1", "--n", "4"), 1,
+     "48930ad47e16f73d6defb49bfc78a6f180869de6320877d43a6445aad08fa330"),
+    (("orbit", "x2^2*x1*x3", "--n", "4"), 0,
+     "c79aa7a9c699dab9404ec42ce371ce018f786efd16d92166c0f480c986e2b9a3"),
+    (("factor", "x1*x3^4*x1^2*x2", "--n", "3"), 0,
+     "edf484e5f10bd0eaf647743345fbe7ac67d5389fa3de9a44efa8b5579e9b6e42"),
+    (("atoms", "--n", "4", "--degree", "4"), 0,
+     "a99c0cda7a0f5f2100313f4e330be6c95d17c169ae364ff3c86d2ec56b839251"),
+], ids=["cor_1_4", "eq_4", "member", "orbit", "factor", "atoms"])
+def test_word_commands_stdout_is_pinned(capsys, argv, code, digest):
+    """sha256 of the whole JSON stdout and the exit code, taken before
+    monomials were stored as letter tuples: the word layout is internal
+    and never shows in the output."""
+    got, out, _ = run(capsys, *argv, "--output", "json")
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_rewrite_rejects_noninvariant(capsys):
     code, _, err = run(capsys, "rewrite", "x1*x2", "--n", "3")
     assert code == 2

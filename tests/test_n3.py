@@ -103,7 +103,7 @@ def test_extra_symbol_is_not_a_member():
     # while the cyclic gaps of the full word are members
     w = parse_poly("x1*x2*x3", 3)
     for r in (1, 2):
-        gap = w - cyclic.act(cyclic.CyclicShift(r, 3), w)
+        gap = w - cyclic.act(r, w, 3)
         assert member(gap, gset).member
 
 

@@ -83,7 +83,7 @@ def test_orbit_expansion_shape(n):
             assert all(is_atom(f, n) for f in key)
             w = semigroup_product(key, n)
             assert tuple(factor_atoms(w, n)) == key
-            letters = w.letters()
+            letters = w.word
             glued = sum(letters[e - 1] != letters[e] for e in ends)
             assert sign == (-1) ** glued
             words.add(w)
@@ -244,6 +244,6 @@ def test_sigma_average_matches_ideal_version():
         for k in range(1, n + 1):
             sk = build_sigma(n, k)
             total = Polynomial.zero(n)
-            for g in cyclic.all_shifts(n):
-                total = total + cyclic.act(g, sk)
+            for r in range(n):
+                total = total + cyclic.act(r, sk, n)
             assert member(total - sk * n, gset).member

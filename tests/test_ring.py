@@ -1,9 +1,14 @@
+import hashlib
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
 
-from sigmaforge.rewrite import AtomExpression
+from sigmaforge.cyclic import orbit_polynomial
+from sigmaforge.n3lab import reduce_orbit
+from sigmaforge.rewrite import AtomExpression, rewrite_invariant
 from sigmaforge.ring import (
     ONE, Monomial, Polynomial, basis_words, commutator, parse_monomial,
     parse_poly, render_monomial, render_poly, variable_commutator,
@@ -21,7 +26,7 @@ class TestMonomial:
         assert m.complexion == (1, 3, 1, 2)
         assert m.exponents == (1, 4, 2, 1)
         assert m.degree == 8
-        assert m.letters() == (1, 3, 3, 3, 3, 1, 1, 2)
+        assert m.word == (1, 3, 3, 3, 3, 1, 1, 2)
 
     def test_adjacent_entries_must_differ(self):
         with pytest.raises(ValueError):
@@ -80,6 +85,21 @@ class TestOrder:
             assert (a < b) + (a == b) + (a > b) == 1
             if a <= b and b <= c:
                 assert a <= c
+
+
+    @pytest.mark.parametrize("n,d,digest", [
+        (3, 6, "0a1013d84457db898bc3eb5d50b8d2a5"
+               "a4c3bde62237838144a0b59d03c6b149"),
+        (4, 5, "3181b8e684bcd04ec4a87f749e1f709d"
+               "22b2bcea2dca569931b5b5c7921eedca"),
+        (5, 4, "bee88a86cb03e262cfd81100c5b358f5"
+               "d15f59ca317363043fdeae9ab44e8eb8"),
+    ])
+    def test_basis_order_is_pinned(self, n, d, digest):
+        # sha256 of the rendered words, one a line; the slice columns
+        # and the residual witnesses follow this order
+        text = "\n".join(render_monomial(m) for m in basis_words(n, d))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestPolynomial:
@@ -209,3 +229,35 @@ def test_renderers_share_the_signed_join(terms, text):
     assert render_poly(poly) == text.format(v="x1")
     assert comm.render() == text.format(v="y1")
     assert expr.render() == text.format(v="O[x1]")
+
+
+def test_values_survive_pickling():
+    # a Monomial goes back through the validating from_letters, a
+    # sparse-terms value through its class's _trusted
+    values = [
+        M(1, 2, 2, 3),
+        ONE,
+        parse_poly("x1*x2^2 - 3/2*x3 + 1", 3),
+        CommPoly({(1, 0, 2): 3, (0, 0, 0): Fraction(-1, 2)}, 3),
+        rewrite_invariant(orbit_polynomial(M(1, 2, 2, 3), 3)),
+        reduce_orbit(M(1, 2, 1, 3)),
+    ]
+    for v in values:
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(v, proto))
+            assert copy == v
+            assert type(copy) is type(v)
+            assert hash(copy) == hash(v)
+
+
+def test_run_length_view_is_read_in_ring_only():
+    """A monomial is its letter tuple everywhere outside ring.py, and a
+    rotation is an int: no other module reads the run-length view or
+    names the old shift class."""
+    src = Path(__file__).resolve().parents[1] / "src" / "sigmaforge"
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert "CyclicShift" not in text, path.name
+        if path.name != "ring.py":
+            for name in (".complexion", ".exponents"):
+                assert name not in text, (path.name, name)

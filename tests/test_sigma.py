@@ -1,7 +1,7 @@
 import itertools
 import math
 
-from sigmaforge.cyclic import CyclicShift, act
+from sigmaforge.cyclic import act
 from sigmaforge.ring import Monomial, Polynomial, parse_poly
 from sigmaforge.sigma import (
     CommPoly, abelianize, build_sigma, char_poly_image, cyclic_letters,
@@ -62,11 +62,11 @@ class TestRecursions:
                 letters = cyclic_letters(n, i + 2)
                 xi1 = Polynomial.variable((i % n) + 1, n)
                 for k in range(1, n + 1):
-                    shifted = act(CyclicShift(i, n), build_sigma(n, k))
+                    shifted = act(i, build_sigma(n, k), n)
                     first_form = (xi1 * sigma_on(letters, k - 1, n)
                                   + sigma_on(letters, k, n))
                     assert shifted == first_form
-                    shifted2 = act(CyclicShift(i + 1, n), build_sigma(n, k))
+                    shifted2 = act(i + 1, build_sigma(n, k), n)
                     last_form = (sigma_on(letters, k - 1, n) * xi1
                                  + sigma_on(letters, k, n))
                     assert shifted2 == last_form

@@ -23,7 +23,7 @@ import pytest
 
 from sigmaforge import ring
 from sigmaforge.atoms import enumerate_atoms
-from sigmaforge.cyclic import CyclicShift, act
+from sigmaforge.cyclic import act
 from sigmaforge.linalg import RowSpace
 from sigmaforge.n3lab import SReduced
 from sigmaforge.rewrite import AtomExpression
@@ -101,7 +101,7 @@ BAD_INPUTS = [
     ("rowspace_integral_float_column", lambda: RowSpace([{1.0: 1}], 2),
      TypeError),
     ("act_beyond_arity",
-     lambda: act(CyclicShift(0, 3), Monomial((1, 5), (1, 1))), ValueError),
+     lambda: act(0, Monomial((1, 5), (1, 1)), 3), ValueError),
 ]
 
 
@@ -188,7 +188,7 @@ def test_monomial_product_is_a_valid_word():
     assert prod.complexion == (1, 2, 1) and prod.exponents == (1, 4, 1)
     same = Monomial(prod.complexion, prod.exponents)
     assert prod == same and hash(prod) == hash(same)
-    assert Monomial.from_letters(a.letters() + b.letters()) == prod
+    assert Monomial.from_letters(a.word + b.word) == prod
 
 
 # -- properties -----------------------------------------------------
@@ -250,13 +250,19 @@ def test_ring_laws(p, q, r):
         assert (p * q).degree() == p.degree() + q.degree()
 
 
-@given(st.lists(LETTERS, max_size=5), st.lists(LETTERS, max_size=5))
-def test_monomial_product_matches_letter_concatenation(a, b):
+@given(st.lists(LETTERS, max_size=5), st.lists(LETTERS, max_size=5),
+       st.integers(min_value=0, max_value=4))
+def test_monomial_product_matches_letter_concatenation(a, b, k):
     u, v = Monomial.from_letters(a), Monomial.from_letters(b)
     prod = u * v
     assert prod == Monomial.from_letters(a + b)
-    assert prod.letters() == tuple(a + b)
+    assert prod.word == u.word + v.word == tuple(a + b)
     assert hash(prod) == hash(Monomial.from_letters(a + b))
+    assert (u ** k).word == u.word * k
+    # the run-length view is a faithful second spelling of the word
+    for m in (u, prod, u ** k):
+        assert Monomial(m.complexion, m.exponents) == m
+        assert m.degree == len(m.word)
 
 
 # -- the other two users of the sparse-terms core ------------------------
