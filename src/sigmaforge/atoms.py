@@ -22,7 +22,7 @@ def is_orbit_max(m: Monomial, n: int) -> bool:
     if m.is_unit():
         raise ValueError("the unit monomial has no orbit representative")
     _check_letters(m, n)
-    return m.word[0] == 1
+    return m[0] == 1
 
 
 def orbit_max(m: Monomial, n: int) -> Monomial:
@@ -30,9 +30,9 @@ def orbit_max(m: Monomial, n: int) -> Monomial:
     if m.is_unit():
         raise ValueError("the unit monomial has no orbit representative")
     _check_letters(m, n)
-    if m.word[0] == 1:
+    if m[0] == 1:
         return m
-    return act(1 - m.word[0], m, n)
+    return act(1 - m[0], m, n)
 
 
 def _check_letters(m: Monomial, n: int):
@@ -46,8 +46,7 @@ def is_atom(m: Monomial, n: int) -> bool:
     if m.is_unit():
         return False
     _check_letters(m, n)
-    w = m.word
-    return w[0] == 1 and all(a != b for a, b in zip(w, w[1:]))
+    return m[0] == 1 and all(a != b for a, b in zip(m, m[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +85,7 @@ def semigroup_mul(u: Monomial, v: Monomial, n: int) -> Monomial:
         return u
     _check_letters(u, n)
     _check_letters(v, n)
-    return u * act(u.word[-1] - v.word[0], v, n)
+    return u * act(u[-1] - v[0], v, n)
 
 
 def semigroup_product(factors, n: int) -> Monomial:
@@ -106,11 +105,10 @@ def factor_atoms(m: Monomial, n: int) -> list:
     if m.is_unit():
         return []
     rep = orbit_max(m, n)
-    letters = rep.word
-    cuts = [i for i in range(1, len(letters)) if letters[i] == letters[i - 1]]
+    cuts = [i for i in range(1, len(rep)) if rep[i] == rep[i - 1]]
     factors = []
-    for a, b in zip([0] + cuts, cuts + [len(letters)]):
-        atom = orbit_max(Monomial._trusted(letters[a:b]), n)
+    for a, b in zip([0] + cuts, cuts + [len(rep)]):
+        atom = orbit_max(Monomial._trusted(rep[a:b]), n)
         if not is_atom(atom, n):
             raise InternalError(f"cut produced a non-atom from {rep}")
         factors.append(atom)

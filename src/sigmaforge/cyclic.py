@@ -27,7 +27,7 @@ def act(r: int, obj, n: int):
         r %= n
         if not r:  # the identity; a monomial is immutable
             return obj
-        return Monomial._trusted(tuple((i - 1 + r) % n + 1 for i in obj.word))
+        return Monomial._trusted((i - 1 + r) % n + 1 for i in obj)
     if isinstance(obj, Polynomial):
         if obj.arity != n:
             raise ValueError("arity mismatch")

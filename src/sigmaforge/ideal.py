@@ -31,8 +31,8 @@ from functools import lru_cache
 
 from . import cyclic
 from .linalg import RowSpace
-from .ring import (InternalError, Monomial, Polynomial, basis_words,
-                   render_poly, variable_commutator)
+from .ring import (InternalError, Polynomial, basis_words, render_poly,
+                   variable_commutator)
 from .sigma import (build_sigma, char_poly_image, factored_char_coefficients,
                     inverse_identity_image, verify_sigma_independence)
 
@@ -148,7 +148,7 @@ def _word_codes(words, n: int) -> list:
     out = []
     for w in words:
         code = 0
-        for i in w.word:
+        for i in w:
             code = code * n + i - 1
         out.append(code)
     return out
@@ -496,7 +496,7 @@ def _canonical_quadratic_basis(n: int):
     basis = []
     for i in range(1, n + 1):
         basis.append((("squares", i),
-                      Polynomial.from_monomial(Monomial((i,), (2,)), n)))
+                      Polynomial.word([i, i], n)))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             basis.append((("products", (i, j)),

@@ -120,7 +120,7 @@ def orbit_product(orbits: dict, b: Monomial, n: int) -> dict:
     for a, c in orbits.items():
         if a.is_unit():
             out[orbit_max(b, n)] = c
-        elif a.word[0] == 1:
+        elif a[0] == 1:
             out.update((a * u, c) for u in images)
         else:
             raise ValueError(f"{a!r} is not an orbit representative")
@@ -161,13 +161,13 @@ def _orbit_expansion(factors: tuple, n: int) -> dict:
     Σ (−1)^{#glued} Π O[block]``, the blocks in order: n^(k−1) keys,
     the all-merge one ``factors`` itself.
     """
-    states = [((), factors[0].word)]  # (closed blocks, open block)
+    states = [((), factors[0])]  # (closed blocks, open block)
     for f in factors[1:]:
         # turns[s] starts with letter s + 1
-        turns = [cyclic.act(s, f, n).word for s in range(n)]
+        turns = [cyclic.act(s, f, n) for s in range(n)]
         nxt = []
         for done, cur in states:
-            nxt.append((done + (Monomial._trusted(cur),), f.word))  # merge
+            nxt.append((done + (Monomial._trusted(cur),), f))  # merge
             nxt.extend((done, cur + t) for s, t in enumerate(turns)
                        if s != cur[-1] - 1)  # glue
         states = nxt
@@ -196,7 +196,7 @@ def sigma_alpha_decomposition(n: int, k: int) -> dict:
     for rep, c in got.items():
         rising = sum(
             1 for w in cyclic.orbit(rep, n)
-            if all(a < b for a, b in zip(w.word, w.word[1:])))
+            if all(a < b for a, b in zip(w, w[1:])))
         expected[rep] = Fraction(rising)
     if got != expected:
         raise AssertionError(

@@ -1,10 +1,12 @@
 """Free associative ring over Q on noncommuting generators x1, x2, ....
 
-A monomial is the tuple of its letters (generator indices); the empty
-word is the ring unit.  The run-length view, a complexion of distinct
-neighbouring indices with their positive exponents, is read only by the
-monomial order and the printer.  Polynomials are finite maps from
-monomials to nonzero rational coefficients.
+A monomial is a ``tuple`` subclass: the tuple of its letters (generator
+indices), equal to the plain tuple of them; the empty word is the ring
+unit.  The run-length view, a complexion of distinct neighbouring
+indices with their positive exponents, is made in one pass and read only
+by the monomial order and the printer.  Polynomials are finite maps from
+monomials to nonzero rational coefficients, given as ``int`` or
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -20,88 +22,66 @@ class InternalError(AssertionError):
 
 
 def _check_letter(i):
-    if not isinstance(i, int) or i < 1:
+    if type(i) is not int or i < 1:
         raise ValueError(f"bad generator index {i!r}")
 
 
-class Monomial:
-    """Immutable word in the generators: the tuple of its letters."""
+def _runs(word) -> tuple:
+    """The run-length view in one pass: (complexion, exponents) lists."""
+    letters, lengths = [], []
+    last = None
+    for i in word:
+        if i == last:
+            lengths[-1] += 1
+        else:
+            letters.append(i)
+            lengths.append(1)
+            last = i
+    return letters, lengths
 
-    __slots__ = ("word",)
 
-    def __init__(self, complexion=(), exponents=()):
-        complexion = tuple(complexion)
-        exponents = tuple(exponents)
-        if len(complexion) != len(exponents):
-            raise ValueError("complexion and exponents differ in length")
-        for i in complexion:
-            _check_letter(i)
-        for a, b in zip(complexion, complexion[1:]):
-            if a == b:
-                raise ValueError("adjacent complexion entries must differ")
-        for e in exponents:
-            if not isinstance(e, int) or e < 1:
-                raise ValueError(f"bad exponent {e!r}")
-        object.__setattr__(self, "word", tuple(
-            i for i, e in zip(complexion, exponents) for _ in range(e)))
+class Monomial(tuple):
+    """Word in the generators: a tuple of its letters, equal to the
+    plain tuple of the same letters.  Tuple operators that are not
+    monomial operations (``m + m``, ``2 * m``) give plain tuples."""
 
-    @classmethod
-    def _trusted(cls, word: tuple) -> "Monomial":
-        """Wrap a tuple of valid letters; nothing is checked."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "word", word)
-        return out
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    def __reduce__(self):
-        return (Monomial.from_letters, (self.word,))
-
-    @classmethod
-    def from_letters(cls, letters) -> "Monomial":
-        """Build from a plain sequence of generator indices."""
-        word = tuple(letters)
+    def __new__(cls, letters=()):
+        word = tuple.__new__(cls, letters)
         for i in word:
             _check_letter(i)
-        return cls._trusted(word)
+        return word
 
-    @property
-    def complexion(self) -> tuple:
-        """The letter of each run of equal letters."""
-        return tuple(i for i, _ in itertools.groupby(self.word))
+    from_letters = classmethod(__new__)
 
-    @property
-    def exponents(self) -> tuple:
-        """The length of each run of equal letters."""
-        return tuple(len(tuple(run)) for _, run in itertools.groupby(self.word))
+    @classmethod
+    def _trusted(cls, word) -> "Monomial":
+        """Wrap a sequence of valid letters; nothing is checked."""
+        return tuple.__new__(cls, word)
+
+    def __reduce__(self):
+        return (Monomial, (tuple(self),))
 
     @property
     def degree(self) -> int:
-        return len(self.word)
+        return len(self)
 
     def is_unit(self) -> bool:
-        return not self.word
+        return not self
 
     def max_index(self) -> int:
-        return max(self.word, default=0)
+        return max(self, default=0)
 
     def __mul__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
-        return Monomial._trusted(self.word + other.word)
+        return tuple.__new__(Monomial, self + other)  # _trusted, inlined
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        return Monomial._trusted(self.word * k)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.word == other.word
-
-    def __hash__(self):
-        # not stored: a stored hash is a 36-byte int per live monomial
-        return hash(self.word)
+        return Monomial._trusted(tuple.__mul__(self, k))
 
     def sort_key(self):
         """Key whose natural order is the monomial order used everywhere.
@@ -111,8 +91,8 @@ class Monomial:
         at equal exponent sequences, complexions compare lexicographically
         with the *smaller* generator index winning.
         """
-        return (self.degree, self.exponents,
-                tuple(-i for i in self.complexion))
+        letters, lengths = _runs(self)
+        return (len(self), tuple(lengths), tuple(-i for i in letters))
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
@@ -137,7 +117,7 @@ def render_monomial(m: Monomial) -> str:
     if m.is_unit():
         return "1"
     parts = []
-    for i, e in zip(m.complexion, m.exponents):
+    for i, e in zip(*_runs(m)):
         parts.append(f"x{i}" if e == 1 else f"x{i}^{e}")
     return "*".join(parts)
 
@@ -162,6 +142,8 @@ class Terms:
         clean = {}
         for key, c in terms.items():
             key = self._key(key, arity)
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"bad coefficient {c!r}")
             c = Fraction(c)
             x = clean.get(key)
             clean[key] = c if x is None else x + c
@@ -198,7 +180,7 @@ class Terms:
 
     @classmethod
     def constant(cls, c, arity: int):
-        return cls({cls._unit(arity): Fraction(c)}, arity)
+        return cls({cls._unit(arity): c}, arity)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -315,15 +297,15 @@ class Polynomial(Terms):
     def variable(cls, i: int, arity: int) -> "Polynomial":
         if not 1 <= i <= arity:
             raise ValueError(f"variable index {i} out of range 1..{arity}")
-        return cls({Monomial((i,), (1,)): Fraction(1)}, arity)
+        return cls({Monomial((i,)): 1}, arity)
 
     @classmethod
     def from_monomial(cls, m: Monomial, arity: int, coeff=1) -> "Polynomial":
-        return cls({m: Fraction(coeff)}, arity)
+        return cls({m: coeff}, arity)
 
     @classmethod
     def word(cls, letters, arity: int, coeff=1) -> "Polynomial":
-        return cls({Monomial.from_letters(letters): Fraction(coeff)}, arity)
+        return cls({Monomial(letters): coeff}, arity)
 
     # -- structure ---------------------------------------------------
 
@@ -389,7 +371,7 @@ def basis_words(n: int, d: int) -> tuple:
     """All n**d degree-d monomials, in strictly decreasing order."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    words = [Monomial.from_letters(w)
+    words = [Monomial._trusted(w)
              for w in itertools.product(range(1, n + 1), repeat=d)]
     words.sort(key=Monomial.sort_key, reverse=True)
     return tuple(words)
@@ -507,7 +489,7 @@ class _Parser:
             _, exp = self.take("int")
             if exp < 1:
                 raise ValueError("exponents must be >= 1")
-        return Monomial((idx,), (exp,))
+        return Monomial((idx,) * exp)
 
 
 def parse_poly(text: str, n: int) -> Polynomial:

@@ -16,10 +16,6 @@ from functools import lru_cache
 from .ring import InternalError, Monomial, Polynomial, Terms, render_terms
 
 
-def _as_word(indices, n: int) -> Polynomial:
-    return Polynomial.word(indices, n)
-
-
 def sigma_on(letters, k: int, n: int) -> Polynomial:
     """Sum of increasing-position k-subword products of ``letters``."""
     letters = tuple(letters)
@@ -29,7 +25,7 @@ def sigma_on(letters, k: int, n: int) -> Polynomial:
         return Polynomial.one(n)
     terms = {}
     for combo in itertools.combinations(letters, k):
-        m = Monomial.from_letters(combo)
+        m = Monomial(combo)
         terms[m] = terms.get(m, Fraction(0)) + 1
     return Polynomial(terms, n)
 
@@ -55,7 +51,8 @@ def sigma_via_recursion_first(letters, k: int, n: int) -> Polynomial:
     if k == 0:
         return Polynomial.one(n)
     head, rest = letters[0], letters[1:]
-    return (_as_word([head], n) * sigma_via_recursion_first(rest, k - 1, n)
+    return (Polynomial.word([head], n)
+            * sigma_via_recursion_first(rest, k - 1, n)
             + sigma_via_recursion_first(rest, k, n))
 
 
@@ -67,7 +64,8 @@ def sigma_via_recursion_last(letters, k: int, n: int) -> Polynomial:
     if k == 0:
         return Polynomial.one(n)
     rest, tail = letters[:-1], letters[-1]
-    return (sigma_via_recursion_last(rest, k - 1, n) * _as_word([tail], n)
+    return (sigma_via_recursion_last(rest, k - 1, n)
+            * Polynomial.word([tail], n)
             + sigma_via_recursion_last(rest, k, n))
 
 
@@ -135,7 +133,7 @@ def abelianize(p: Polynomial) -> CommPoly:
     terms = {}
     for m, c in p.terms.items():
         ev = [0] * n
-        for i in m.word:
+        for i in m:
             ev[i - 1] += 1
         ev = tuple(ev)
         terms[ev] = terms.get(ev, Fraction(0)) + c

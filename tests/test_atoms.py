@@ -31,7 +31,7 @@ def random_monomial(rng, n, max_runs=5, max_exp=4):
         letters.append(c)
         prev = c
     exps = [rng.randint(1, max_exp) for _ in range(runs)]
-    return Monomial(tuple(letters), tuple(exps))
+    return Monomial(i for i, e in zip(letters, exps) for _ in range(e))
 
 
 def test_orbit_max_starts_with_one():
@@ -40,7 +40,7 @@ def test_orbit_max_starts_with_one():
         for _ in range(60):
             m = random_monomial(rng, n)
             rep = orbit_max(m, n)
-            assert rep.complexion[0] == 1
+            assert rep[0] == 1
             assert is_orbit_max(rep, n)
             assert rep in orbit(m, n)
 
@@ -90,12 +90,12 @@ def test_enumerate_atoms_order():
     # largest first; for equal-degree square-free words that is
     # increasing lexicographic order of letter strings
     atoms = enumerate_atoms(3, 3)
-    assert [a.complexion for a in atoms] == [
+    assert list(atoms) == [
         (1, 2, 1), (1, 2, 3), (1, 3, 1), (1, 3, 2)]
     for earlier, later in zip(atoms, atoms[1:]):
         assert earlier.sort_key() > later.sort_key()
-    assert [a.complexion for a in enumerate_atoms(3, 1)] == [(1,)]
-    assert [a.complexion for a in enumerate_atoms(3, 2)] == [(1, 2), (1, 3)]
+    assert list(enumerate_atoms(3, 1)) == [(1,)]
+    assert list(enumerate_atoms(3, 2)) == [(1, 2), (1, 3)]
 
 
 def test_sort_key_matches_operator_order():
@@ -162,7 +162,7 @@ def test_semigroup_mul_associative():
 
 def test_factor_atoms_frozen_example():
     factors = factor_atoms(M("x1*x3^4*x1^2*x2"), 3)
-    assert [f.complexion for f in factors] == [
+    assert factors == [
         (1, 3), (1,), (1,), (1, 2), (1, 2)]
     assert all(is_atom(f, 3) for f in factors)
 

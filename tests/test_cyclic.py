@@ -32,8 +32,8 @@ def test_rotation_is_taken_mod_n():
 
 
 def test_action_preserves_exponents():
-    m = Monomial((2, 1), (2, 1))  # x2^2*x1
-    assert act(2, m, 3) == Monomial((1, 3), (2, 1))
+    m = Monomial((2, 2, 1))  # x2^2*x1
+    assert act(2, m, 3) == Monomial((1, 1, 3))
 
 
 def test_action_is_multiplicative():

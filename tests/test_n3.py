@@ -31,7 +31,7 @@ def sym(i):
 
 
 def test_base_table_frozen():
-    table = {k.complexion: v for k, v in base_table().items()}
+    table = base_table()
     assert table[(1,)] == SReduced(sym(1), 0, 0)
     assert table[(1, 2)] == SReduced(sym(2), 1, 0)
     assert table[(1, 3)] == SReduced(sym(2), -2, 0)

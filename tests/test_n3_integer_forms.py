@@ -137,14 +137,14 @@ base_table = n3lab.base_table
 n3lab.base_table = lambda: {
     k: v * Fraction(1, 2) for k, v in base_table().items()}
 outcome("fractional_form",
-        lambda: n3lab.reduce_orbit(Monomial((1, 2), (1, 1))))
+        lambda: n3lab.reduce_orbit(Monomial((1, 2))))
 n3lab.base_table = base_table
 n3lab.clear_caches()
 trace, norm = n3lab.d_square_rewrite()
 n3lab.d_square_rewrite = lambda: (trace * Fraction(1, 3), norm)
 outcome("fractional_d_square_rule",
-        lambda: n3lab.reduce_orbit(Monomial((1, 2, 1), (1, 1, 1)))
-        * n3lab.reduce_orbit(Monomial((1, 3, 1), (1, 1, 1))))
+        lambda: n3lab.reduce_orbit(Monomial((1, 2, 1)))
+        * n3lab.reduce_orbit(Monomial((1, 3, 1))))
 print("debug", __debug__)
 """
 

@@ -22,7 +22,7 @@ def om(text, n=3):
 
 
 def a(letters):
-    return Monomial(tuple(letters), (1,) * len(letters))
+    return Monomial(letters)
 
 
 def test_rewrite_squares_worked_example():
@@ -83,8 +83,7 @@ def test_orbit_expansion_shape(n):
             assert all(is_atom(f, n) for f in key)
             w = semigroup_product(key, n)
             assert tuple(factor_atoms(w, n)) == key
-            letters = w.word
-            glued = sum(letters[e - 1] != letters[e] for e in ends)
+            glued = sum(w[e - 1] != w[e] for e in ends)
             assert sign == (-1) ** glued
             words.add(w)
         assert words == set(product)
@@ -211,7 +210,7 @@ def test_atom_expression_render_collapsing():
 
 def test_sigma_alpha_frozen_tables():
     def table(n, k):
-        return {"*".join(f"x{i}" for i in rep.complexion): int(c)
+        return {"*".join(f"x{i}" for i in rep): int(c)
                 for rep, c in sigma_alpha_decomposition(n, k).items()}
 
     assert table(4, 1) == {"x1": 4}

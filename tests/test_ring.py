@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import pickle
 import random
 from pathlib import Path
@@ -20,19 +21,66 @@ def M(*letters):
     return Monomial.from_letters(letters)
 
 
+def reference_key(m):
+    """The monomial order's key as two groupby passes over the word:
+    degree, run lengths, negated run letters."""
+    complexion = tuple(i for i, _ in itertools.groupby(m))
+    exponents = tuple(len(tuple(run)) for _, run in itertools.groupby(m))
+    return (len(m), exponents, tuple(-i for i in complexion))
+
+
 class TestMonomial:
     def test_run_length_normalization(self):
         m = M(1, 3, 3, 3, 3, 1, 1, 2)
-        assert m.complexion == (1, 3, 1, 2)
-        assert m.exponents == (1, 4, 2, 1)
+        assert m.sort_key() == (8, (1, 4, 2, 1), (-1, -3, -1, -2))
+        assert render_monomial(m) == "x1*x3^4*x1^2*x2"
         assert m.degree == 8
-        assert m.word == (1, 3, 3, 3, 3, 1, 1, 2)
+        assert m == (1, 3, 3, 3, 3, 1, 1, 2)
 
-    def test_adjacent_entries_must_differ(self):
-        with pytest.raises(ValueError):
-            Monomial((1, 1), (2, 3))
-        with pytest.raises(ValueError):
-            Monomial((1, 2), (0, 1))
+    def test_letters_constructor(self):
+        assert Monomial([1, 3, 3]) == M(1, 3, 3) == (1, 3, 3)
+        assert type(Monomial(iter([2, 1]))) is Monomial
+        assert Monomial() == ONE == ()
+        # from_letters is the one validating constructor under a second name
+        assert Monomial.from_letters.__func__ is Monomial.__new__
+        for bad in [(0,), (1, -2), (1.0,), ("1",), (True,), (2, False),
+                    (Fraction(1),)]:
+            with pytest.raises(ValueError):
+                Monomial(bad)
+            with pytest.raises(ValueError):
+                Monomial.from_letters(bad)
+
+    def test_is_a_slotted_tuple(self):
+        m = M(1, 2, 2)
+        assert issubclass(Monomial, tuple) and Monomial.__slots__ == ()
+        assert not hasattr(m, "__dict__")
+        with pytest.raises(AttributeError):
+            m.word = (1,)
+        with pytest.raises(AttributeError):
+            m.degree = 4
+        assert m == (1, 2, 2) and hash(m) == hash((1, 2, 2))
+        assert len(m) == 3 and m[1:] == (2, 2) and type(m[1:]) is tuple
+
+    def test_tuple_operators_give_plain_tuples(self):
+        m = M(1, 2)
+        for t in (m + m, 2 * m):
+            assert type(t) is tuple and t == (1, 2, 1, 2)
+            with pytest.raises(TypeError):
+                Polynomial({t: 1}, 3)
+        assert type(m * m) is Monomial and m * m == m + m
+        with pytest.raises(TypeError):
+            m * 2
+
+    def test_sort_key_matches_the_groupby_reference(self):
+        words = list(basis_words(3, 6)) + list(basis_words(4, 4))
+        rng = random.Random(29)
+        for _ in range(400):
+            runs = [(rng.randint(1, 4), rng.randint(1, 9))
+                    for _ in range(rng.randint(1, 5))]
+            words.append(M(*(i for i, e in runs for _ in range(e))))
+        words.append(ONE)
+        for m in words:
+            assert m.sort_key() == reference_key(m), m
 
     def test_unit(self):
         assert ONE.degree == 0
@@ -43,34 +91,34 @@ class TestMonomial:
     def test_mul_merges_boundary(self):
         assert M(1, 2) * M(2, 3) == M(1, 2, 2, 3)
         assert M(1, 2) * M(3) == M(1, 2, 3)
-        assert (M(1, 2) * M(2, 2)).exponents == (1, 3)
+        assert M(1, 2) * M(2, 2) == (1, 2, 2, 2)
 
     def test_pow(self):
         assert M(1, 2) ** 2 == M(1, 2, 1, 2)
-        assert M(1) ** 3 == Monomial((1,), (3,))
+        assert M(1) ** 3 == M(1, 1, 1)
         assert M(1, 2) ** 0 == ONE
 
     def test_hash_and_eq(self):
-        assert hash(M(1, 2, 2)) == hash(Monomial((1, 2), (1, 2)))
+        assert hash(M(1, 2, 2)) == hash(Monomial((1, 2, 2)))
         assert M(1, 2) != M(2, 1)
 
 
 class TestOrder:
     def test_degree_dominates(self):
         assert M(2, 1) > M(1)
-        assert M(1) < Monomial((2,), (2,))
+        assert M(1) < M(2, 2)
 
     def test_same_exponents_smaller_index_wins(self):
         # x1*x2^2*x3 > x1*x2^2*x4
-        assert Monomial((1, 2, 3), (1, 2, 1)) > Monomial((1, 2, 4), (1, 2, 1))
+        assert M(1, 2, 2, 3) > M(1, 2, 2, 4)
         assert M(1, 2, 1) > M(1, 2, 3) > M(1, 3, 1) > M(1, 3, 2) > M(2, 1, 2)
 
     def test_different_exponents_larger_first_wins(self):
         # x1*x4^2 > x1*x2*x3
-        assert Monomial((1, 4), (1, 2)) > M(1, 2, 3)
-        assert Monomial((1,), (3,)) > Monomial((1, 2), (2, 1))
-        assert Monomial((1, 2), (2, 1)) > Monomial((1, 2), (1, 2))
-        assert Monomial((1, 2), (1, 2)) > M(1, 2, 1)
+        assert M(1, 4, 4) > M(1, 2, 3)
+        assert M(1, 1, 1) > M(1, 1, 2)
+        assert M(1, 1, 2) > M(1, 2, 2)
+        assert M(1, 2, 2) > M(1, 2, 1)
 
     def test_strict_total_order_on_degree_words(self):
         for n, d in [(3, 3), (4, 2), (2, 5)]:
@@ -168,7 +216,7 @@ class TestPolynomial:
 class TestTextFormat:
     def test_render_examples(self):
         assert render_poly(variable_commutator(1, 2, 3)) == "x1*x2 - x2*x1"
-        p = Fraction(2, 3) * Polynomial.from_monomial(Monomial((1,), (2,)), 3)
+        p = Fraction(2, 3) * Polynomial.from_monomial(M(1, 1), 3)
         assert render_poly(p) == "2/3*x1^2"
         assert render_poly(Polynomial.zero(3)) == "0"
         assert render_monomial(M(1, 3, 3, 1, 2)) == "x1*x3^2*x1*x2"
@@ -181,7 +229,7 @@ class TestTextFormat:
         p = parse_poly("x1*x2 - x2*x1", 3)
         assert p == variable_commutator(1, 2, 3)
         assert parse_poly("2/3*x1^2", 3).coefficient(
-            Monomial((1,), (2,))) == Fraction(2, 3)
+            M(1, 1)) == Fraction(2, 3)
         assert parse_poly("-x1 + 1/2", 2) == \
             Polynomial.constant(Fraction(1, 2), 2) - Polynomial.variable(1, 2)
         assert parse_poly("0", 3).is_zero()
@@ -232,7 +280,7 @@ def test_renderers_share_the_signed_join(terms, text):
 
 
 def test_values_survive_pickling():
-    # a Monomial goes back through the validating from_letters, a
+    # a Monomial goes back through its validating constructor, a
     # sparse-terms value through its class's _trusted
     values = [
         M(1, 2, 2, 3),
@@ -261,3 +309,7 @@ def test_run_length_view_is_read_in_ring_only():
         if path.name != "ring.py":
             for name in (".complexion", ".exponents"):
                 assert name not in text, (path.name, name)
+    # a monomial is its letters: no word slot and no stored run-length view
+    for name in ("word", "complexion", "exponents"):
+        assert not hasattr(Monomial, name), name
+        assert not hasattr(ONE, name), name
