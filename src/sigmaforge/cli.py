@@ -6,10 +6,16 @@ JSON line per check unit with the fixed key order
 {check, n, degree, status, witness}; identical argv and seed always
 produce byte-identical output.
 
+There is one output path: a command's handler returns its report and
+``main`` alone prints it. A verification handler returns its check
+units, printed by ``_emit_units``; every other handler returns a pair
+(JSON record, text lines), printed as the record under ``--output
+json`` and line by line otherwise.
+
 Exit codes: 0 all checks passed, 1 at least one check failed or an
 internal invariant broke (``internal error:`` on stderr), 2 usage or
-input error. Arities below three are rejected up front; the whole
-calculus here rests on the standing assumption n >= 3.
+input error. Arities below three are rejected up front, in ``main``;
+the whole calculus here rests on the standing assumption n >= 3.
 """
 
 from __future__ import annotations
@@ -37,12 +43,6 @@ def _default_jobs() -> int:
         return 1
 
 
-def _require_arity(n: int):
-    if n < 3:
-        raise ValueError(
-            f"n = {n} rejected: the standing assumption requires n >= 3")
-
-
 def _emit_units(units, mode: str) -> int:
     failures = 0
     for u in units:
@@ -60,81 +60,50 @@ def _emit_units(units, mode: str) -> int:
     return 1 if failures else 0
 
 
-def _cmd_sigma(args) -> int:
-    _require_arity(args.n)
+def _cmd_sigma(args):
     text = render_poly(build_sigma(args.n, args.k))
-    if args.output == "json":
-        print(json.dumps({"command": "sigma", "n": args.n, "k": args.k,
-                          "polynomial": text}))
-    else:
-        print(text)
-    return 0
+    return ({"command": "sigma", "n": args.n, "k": args.k,
+             "polynomial": text}, [text])
 
 
-def _cmd_orbit(args) -> int:
-    _require_arity(args.n)
+def _cmd_orbit(args):
     m = parse_monomial(args.monomial, args.n)
     members = [render_monomial(w) for w in cyclic.orbit(m, args.n)]
     total = render_poly(cyclic.orbit_polynomial(m, args.n))
-    if args.output == "json":
-        print(json.dumps({"command": "orbit", "n": args.n,
-                          "monomial": render_monomial(m),
-                          "members": members, "orbit_sum": total}))
-    else:
-        print(total)
-    return 0
+    return ({"command": "orbit", "n": args.n, "monomial": render_monomial(m),
+             "members": members, "orbit_sum": total}, [total])
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args):
     from . import atoms as atoms_mod
 
-    _require_arity(args.n)
     m = parse_monomial(args.monomial, args.n)
     factors = [render_monomial(a) for a in atoms_mod.factor_atoms(m, args.n)]
-    if args.output == "json":
-        print(json.dumps({"command": "factor", "n": args.n,
-                          "monomial": render_monomial(m),
-                          "factors": factors}))
-    else:
-        print(" ".join(factors) if factors else "1")
-    return 0
+    return ({"command": "factor", "n": args.n, "monomial": render_monomial(m),
+             "factors": factors}, [" ".join(factors) if factors else "1"])
 
 
-def _cmd_atoms(args) -> int:
+def _cmd_atoms(args):
     from . import atoms as atoms_mod
 
-    _require_arity(args.n)
     if args.degree < 1:
         raise ValueError("degree must be positive")
     listing = [render_monomial(a)
                for a in atoms_mod.enumerate_atoms(args.n, args.degree)]
-    if args.output == "json":
-        print(json.dumps({"command": "atoms", "n": args.n,
-                          "degree": args.degree, "count": len(listing),
-                          "atoms": listing}))
-    else:
-        for line in listing:
-            print(line)
-    return 0
+    return ({"command": "atoms", "n": args.n, "degree": args.degree,
+             "count": len(listing), "atoms": listing}, listing)
 
 
-def _cmd_rewrite(args) -> int:
+def _cmd_rewrite(args):
     from . import rewrite
 
-    _require_arity(args.n)
     p = parse_poly(args.polynomial, args.n)
-    expr = rewrite.rewrite_invariant(p)
-    if args.output == "json":
-        print(json.dumps({"command": "rewrite", "n": args.n,
-                          "input": render_poly(p),
-                          "expression": expr.render()}))
-    else:
-        print(expr.render())
-    return 0
+    text = rewrite.rewrite_invariant(p).render()
+    return ({"command": "rewrite", "n": args.n, "input": render_poly(p),
+             "expression": text}, [text])
 
 
-def _cmd_member(args) -> int:
-    _require_arity(args.n)
+def _cmd_member(args):
     p = parse_poly(args.polynomial, args.n)
     gset = ideal.generator_set(args.gens, args.n)
     res = ideal.member(p, gset)
@@ -146,58 +115,47 @@ def _cmd_member(args) -> int:
             else {"residual": render_poly(bad)})))
     if not units:  # zero polynomial
         units.append(ideal._unit("member", args.n, 0, True, {"member": True}))
-    return _emit_units(units, args.output)
+    return units
 
 
-def _cmd_verify(args) -> int:
-    _require_arity(args.n)
-    units = ideal.run_check(args.name, args.n, max_degree=args.max_degree)
-    return _emit_units(units, args.output)
+def _cmd_verify(args):
+    return ideal.run_check(args.name, args.n, max_degree=args.max_degree)
 
 
-def _cmd_n3_reduce(args) -> int:
+def _cmd_n3_reduce(args):
     from . import n3lab
 
     p = parse_poly(args.polynomial, 3)
-    sr = n3lab.reduce_to_S_form(p, certify=not args.no_certify,
-                                max_degree=args.max_degree)
-    if args.output == "json":
-        print(json.dumps({"command": "n3_reduce", "input": render_poly(p),
-                          "s_form": sr.render(),
-                          "certified": not args.no_certify}))
-    else:
-        print(sr.render())
-    return 0
+    text = n3lab.reduce_to_S_form(p, certify=not args.no_certify,
+                                  max_degree=args.max_degree).render()
+    return ({"command": "n3_reduce", "input": render_poly(p), "s_form": text,
+             "certified": not args.no_certify}, [text])
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     from . import matmodel
 
-    _require_arity(args.n)
     report = matmodel.zero_divisor_search(
         {"n": args.n, "dim": args.dim, "family": args.family,
          "seed": args.seed, "budget": args.budget},
         jobs=args.jobs)
-    if args.output == "json":
-        print(json.dumps(report))
-    else:
-        p = report["params"]
-        print(f"family={p['family']} n={p['n']} dim={p['dim']} "
-              f"seed={p['seed']} budget={p['budget']}")
-        c = report["counts"]
-        print(f"examined={report['examined']} "
-              f"relations_hold={c['relations_hold']} "
-              f"noncommuting_pair={c['noncommuting_pair']} "
-              f"candidates={c['candidates']}")
-        for cand in report["candidates"]:
-            print(f"candidate index={cand['index']} "
-                  f"pairs={cand['noncommuting_pairs']} "
-                  f"zero_products={cand['zero_products']}/"
-                  f"{len(cand['products'])} "
-                  f"singular_products={cand['singular_products']}")
-        if report["budget_exhausted"]:
-            print("budget exhausted")
-    return 0
+    p = report["params"]
+    c = report["counts"]
+    lines = [f"family={p['family']} n={p['n']} dim={p['dim']} "
+             f"seed={p['seed']} budget={p['budget']}",
+             f"examined={report['examined']} "
+             f"relations_hold={c['relations_hold']} "
+             f"noncommuting_pair={c['noncommuting_pair']} "
+             f"candidates={c['candidates']}"]
+    lines.extend(f"candidate index={cand['index']} "
+                 f"pairs={cand['noncommuting_pairs']} "
+                 f"zero_products={cand['zero_products']}/"
+                 f"{len(cand['products'])} "
+                 f"singular_products={cand['singular_products']}"
+                 for cand in report["candidates"])
+    if report["budget_exhausted"]:
+        lines.append("budget exhausted")
+    return report, lines
 
 
 class _Families:
@@ -307,7 +265,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        n = getattr(args, "n", 3)  # ``n3 reduce`` has no --n
+        if n < 3:
+            raise ValueError(
+                f"n = {n} rejected: the standing assumption requires n >= 3")
+        report = args.func(args)
+        if isinstance(report, list):
+            return _emit_units(report, args.output)
+        record, lines = report
+        if args.output == "json":
+            print(json.dumps(record))
+        else:
+            for line in lines:
+                print(line)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

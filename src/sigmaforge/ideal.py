@@ -26,13 +26,14 @@ go in, so neither do ranks, residuals or any output.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from . import cyclic
 from .linalg import RowSpace
-from .ring import (InternalError, Polynomial, basis_words, render_poly,
-                   variable_commutator)
+from .ring import (InternalError, Polynomial, basis_words, integral,
+                   render_poly, variable_commutator)
 from .sigma import (build_sigma, char_poly_image, factored_char_coefficients,
                     inverse_identity_image, verify_sigma_independence)
 
@@ -70,7 +71,7 @@ class GeneratorSet:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(
             self, "_key", (name, n, tuple(render_poly(g) for g in gens)))
-        integer = tuple(_integerized(g) for g in gens)
+        integer = tuple(integral(g.terms) for g in gens)
         object.__setattr__(self, "_integer", integer)
         object.__setattr__(self, "_codes", tuple(
             (g.degree(),
@@ -132,14 +133,6 @@ def generator_set(name: str, n: int) -> GeneratorSet:
     raise ValueError(f"unknown generator set {name!r}")
 
 
-def _integerized(p: Polynomial):
-    """(scale, {monomial: int}) with scale*p integer, scale > 0."""
-    scale = math.lcm(*(c.denominator for c in p.terms.values())) \
-        if p.terms else 1
-    return scale, {m: c.numerator * (scale // c.denominator)
-                   for m, c in p.terms.items()}
-
-
 def _word_codes(words, n: int) -> list:
     """Base-n code of each word: letters 1..n are the digits 0..n-1,
     the first letter the most significant.  Words of one degree get
@@ -166,36 +159,12 @@ def _code_table(n: int, k: int):
     return codes, tuple(places)
 
 
-class _Record:
-    """A record of the fields named by ``__slots__``; two records are
-    equal when their classes and fields are."""
-
-    __slots__ = ()
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return f"{type(self).__name__}{self._values()!r}"
-
-
-class _Reduction(_Record):
+class _Reduction(namedtuple("_Reduction", "scale row alpha steps")):
     """p reduced by a slice: alpha*scale*p - (combination of stored
     rows) = row, with scale*p integer; ``steps`` records the combination
     when it was asked for."""
 
-    __slots__ = ("scale", "row", "alpha", "steps")
-
-    def __init__(self, scale, row, alpha, steps):
-        self.scale = scale
-        self.row = row
-        self.alpha = alpha
-        self.steps = steps
+    __slots__ = ()
 
 
 class DegreeSlice:
@@ -300,7 +269,7 @@ class DegreeSlice:
         if not p.is_homogeneous(self.degree):
             raise ValueError(f"expected a homogeneous degree-{self.degree} "
                              "polynomial")
-        scale, terms = _integerized(p)
+        scale, terms = integral(p.terms)
         col = _code_table(self.n, self.degree)[1]
         return scale, {col[c]: x for c, x in
                        zip(_word_codes(terms, self.n), terms.values())}
@@ -316,9 +285,9 @@ class DegreeSlice:
         row, alpha = self.space.reduce(vec, steps)
         return _Reduction(scale, row, alpha, steps)
 
-    def residual(self, p: Polynomial, reduced: _Reduction) -> Polynomial:
+    def residual(self, reduced: _Reduction) -> Polynomial:
         """Normalized residual of p modulo the slice, from its reduction
-        ``reduced = self.reduce(p)``; zero iff member."""
+        ``reduced = self.reduce(p)``; zero iff p is a member."""
         row = reduced.row
         if not row:
             return Polynomial.zero(self.n)
@@ -354,8 +323,7 @@ class DegreeSlice:
                 w = u * m * v
                 recon[w] = recon.get(w, 0) + k * c
             cert.append((Fraction(k * gscale, denom), u, gi, v))
-        want = {m: c.numerator * (denom // c.denominator)
-                for m, c in p.terms.items()}
+        want = {m: den * x for m, x in integral(p.terms)[1].items()}
         if {w: x for w, x in recon.items() if x} != want:
             raise InternalError("certificate failed reconstruction")
         return cert
@@ -398,17 +366,13 @@ def quotient_dim(n: int, degree: int, gset=None) -> int:
     return degree_slice(gset, degree).quotient_dim
 
 
-class MemberResult(_Record):
+class MemberResult(namedtuple("MemberResult",
+                              "member residuals certificate")):
     """``member``, then ``residuals`` (degree -> nonzero residual
     Polynomial), then ``certificate`` ([(coeff, u, gen_index, v)] when
     requested, else None)."""
 
-    __slots__ = ("member", "residuals", "certificate")
-
-    def __init__(self, member, residuals, certificate):
-        self.member = member
-        self.residuals = residuals
-        self.certificate = certificate
+    __slots__ = ()
 
     def __bool__(self):
         return self.member
@@ -434,7 +398,7 @@ def member(p: Polynomial, gset: GeneratorSet, certify=False) -> MemberResult:
         if certify and not reduced.row:
             certificate.extend(sl.certificate_for(comp, reduced))
             continue
-        r = sl.residual(comp, reduced)
+        r = sl.residual(reduced)
         if not r.is_zero():
             residuals[d] = r
     ok = not residuals

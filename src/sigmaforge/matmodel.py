@@ -15,12 +15,13 @@ decided by exact rank.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import RowSpace
+from .ring import integral
 
 FAMILIES = ("commuting", "conj-cyclic", "block-triangular", "dense")
 
@@ -61,24 +62,24 @@ def is_zero_matrix(m) -> bool:
 def mat_rank(m) -> int:
     """Rank over the rationals: rows cleared of denominators, then exact
     integer elimination."""
-    rows = []
-    for row in m:
-        scale = math.lcm(*(x.denominator for x in row))
-        rows.append({c: int(x * scale) for c, x in enumerate(row) if x})
+    rows = [integral({c: x for c, x in enumerate(row) if x})[1] for row in m]
     return RowSpace(rows, len(m[0]) if m else 0).rank
 
 
-class MatrixTuple:
-    """n square rational matrices sharing one dimension; immutable.
+class MatrixTuple(namedtuple("MatrixTuple", "n dim mats")):
+    """n square rational matrices sharing one dimension; an immutable
+    value, equal to the plain tuple (n, dim, mats).
 
-    A plain class, not a dataclass: importing ``dataclasses`` loads
+    A named tuple, not a dataclass: importing ``dataclasses`` loads
     ``inspect``, ``ast`` and ``dis``, about 1 MB of resident memory in
-    every process that imports this module.
+    every process that imports this module.  Every constructor,
+    unpickling included, goes through ``__new__``; ``_make`` and
+    ``_replace`` do not, and are not used.
     """
 
-    __slots__ = ("n", "dim", "mats")
+    __slots__ = ()
 
-    def __init__(self, n: int, dim: int, mats: tuple):
+    def __new__(cls, n: int, dim: int, mats: tuple):
         if n < 1:
             raise ValueError("need at least one matrix")
         if dim < 1:
@@ -96,28 +97,7 @@ class MatrixTuple:
                         raise ValueError(
                             f"entries must be rational, got {type(x).__name__}")
             frozen.append(rows)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "mats", tuple(frozen))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixTuple is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not MatrixTuple:
-            return NotImplemented
-        return (self.n, self.dim, self.mats) == (other.n, other.dim,
-                                                 other.mats)
-
-    def __hash__(self):
-        return hash((self.n, self.dim, self.mats))
-
-    def __reduce__(self):  # unpickling must not go through __setattr__
-        return MatrixTuple, (self.n, self.dim, self.mats)
-
-    def __repr__(self):
-        return (f"MatrixTuple(n={self.n!r}, dim={self.dim!r}, "
-                f"mats={self.mats!r})")
+        return super().__new__(cls, n, dim, tuple(frozen))
 
     @classmethod
     def from_mats(cls, mats) -> "MatrixTuple":

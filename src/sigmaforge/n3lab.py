@@ -26,10 +26,10 @@ from .atoms import (enumerate_atoms, factor_atoms, is_atom, orbit_max,
                     semigroup_product)
 from .ideal import _unit, commutator_generators, degree_slice, member
 from .linalg import RowSpace
-from .ring import (InternalError, Monomial, Polynomial, Terms,
+from .ring import (InternalError, Monomial, Polynomial, Terms, integral,
                    parse_poly, render_poly)
 from .rewrite import orbit_decompose, orbit_product
-from .sigma import CommPoly, abelianize, build_sigma
+from .sigma import CommPoly, abelianize, build_sigma, weighted_exponents
 
 N = 3
 SYMBOL_NAMES = ("s1", "s2", "s3", "c3", "d")
@@ -86,9 +86,10 @@ def _normalize_d(z: CommPoly) -> CommPoly:
 def _integral(terms: dict, what: str) -> dict:
     """The terms with int coefficients; every orbit form and the d^2
     rule are integral, so a fraction is a broken invariant."""
-    if any(c.denominator != 1 for c in terms.values()):
+    den, ints = integral(terms)
+    if den != 1:
         raise InternalError(f"{what} has a fractional coefficient")
-    return {k: int(c) for k, c in terms.items()}
+    return ints
 
 
 @lru_cache(maxsize=None)
@@ -346,10 +347,8 @@ def reduce_invariant(p: Polynomial) -> SReduced:
     and each term divided by D once."""
     if p.arity != N:
         raise ValueError("expected an arity-3 polynomial")
-    orbits = orbit_decompose(p)
-    den = math.lcm(*(c.denominator for c in orbits.values()))
-    total = _sum_orbits({}, {rep: c.numerator * (den // c.denominator)
-                             for rep, c in orbits.items()})
+    den, orbits = integral(orbit_decompose(p))
+    total = _sum_orbits({}, orbits)
     return SReduced._trusted(
         {k: Fraction(v, den) for k, v in total.items() if v}, 5)
 
@@ -577,24 +576,10 @@ def _s_monomials(total: int):
     out = []
     for j in (0, 1, 2):
         w = total - 2 * j
-        if w < 0:
-            continue
-        evs = []
-
-        def rec(pos, left, acc):
-            if pos == len(SYMBOL_WEIGHTS):
-                if left == 0:
-                    evs.append(tuple(acc))
-                return
-            step = SYMBOL_WEIGHTS[pos]
-            top = left // step
-            if pos == 4:
-                top = min(top, 1)
-            for e in range(top + 1):
-                rec(pos + 1, left - e * step, acc + [e])
-
-        rec(0, w, [])
-        out.extend(ev + (j,) for ev in evs)
+        for ev in weighted_exponents(SYMBOL_WEIGHTS, w):
+            weight = sum(x * e for x, e in zip(SYMBOL_WEIGHTS, ev))
+            if weight == w and ev[4] <= 1:
+                out.append(ev + (j,))
     return out
 
 

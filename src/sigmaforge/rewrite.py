@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import cyclic
 from .atoms import factor_atoms, is_atom, orbit_max
-from .ring import (InternalError, Monomial, ONE, Polynomial, Terms,
+from .ring import (InternalError, Monomial, ONE, Polynomial, Terms, _runs,
                    render_monomial, render_terms)
 
 
@@ -68,18 +68,11 @@ class AtomExpression(Terms):
 
 
 def _render_product(factors):
-    if not factors:
-        return None
-    out = []
-    i = 0
-    while i < len(factors):
-        j = i
-        while j < len(factors) and factors[j] == factors[i]:
-            j += 1
-        sym = f"O[{render_monomial(factors[i])}]"
-        out.append(sym if j - i == 1 else f"{sym}^{j - i}")
-        i = j
-    return "*".join(out)
+    """``O[f]^e`` for each run of e equal atoms, joined by ``*``; None
+    for the empty product, the constant term."""
+    syms = (f"O[{render_monomial(f)}]" + (f"^{e}" if e > 1 else "")
+            for f, e in zip(*_runs(factors)))
+    return "*".join(syms) or None
 
 
 def orbit_decompose(p: Polynomial) -> dict:

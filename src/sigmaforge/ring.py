@@ -3,16 +3,19 @@
 A monomial is a ``tuple`` subclass: the tuple of its letters (generator
 indices), equal to the plain tuple of them; the empty word is the ring
 unit.  The run-length view, a complexion of distinct neighbouring
-indices with their positive exponents, is made in one pass and read only
-by the monomial order and the printer.  Polynomials are finite maps from
-monomials to nonzero rational coefficients, given as ``int`` or
-``Fraction``.
+indices with their positive exponents, is made in one pass, ``_runs``,
+and read only by the monomial order and the printers (``rewrite``
+groups equal atom factors by the same pass).  Polynomials are finite
+maps from monomials to nonzero rational coefficients, given as ``int``
+or ``Fraction``; ``integral`` clears such values to integers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,7 +30,8 @@ def _check_letter(i):
 
 
 def _runs(word) -> tuple:
-    """The run-length view in one pass: (complexion, exponents) lists."""
+    """Runs of equal neighbours in one pass: (values, run lengths)
+    lists, for a word its (complexion, exponents)."""
     letters, lengths = [], []
     last = None
     for i in word:
@@ -111,6 +115,14 @@ class Monomial(tuple):
 
 
 ONE = Monomial()
+
+
+def integral(terms: dict) -> tuple:
+    """(den, {key: int}) with den*terms integer: den > 0 is the least
+    common denominator of the rational values of ``terms``."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {k: c.numerator * (den // c.denominator)
+                 for k, c in terms.items()}
 
 
 def render_monomial(m: Monomial) -> str:
@@ -489,6 +501,8 @@ class _Parser:
             _, exp = self.take("int")
             if exp < 1:
                 raise ValueError("exponents must be >= 1")
+            if exp > sys.maxsize:  # past this a tuple length overflows
+                raise ValueError(f"exponent {exp} exceeds {sys.maxsize}")
         return Monomial((idx,) * exp)
 
 

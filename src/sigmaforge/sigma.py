@@ -13,7 +13,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .ring import InternalError, Monomial, Polynomial, Terms, render_terms
+from .ring import (InternalError, Monomial, Polynomial, Terms, integral,
+                   render_terms)
 
 
 def sigma_on(letters, k: int, n: int) -> Polynomial:
@@ -205,24 +206,23 @@ def inverse_identity_image(n: int, i: int) -> Polynomial:
     return xi * inner - build_sigma(n, n) * ((-1) ** (n + 1))
 
 
+def weighted_exponents(weights, bound: int) -> list:
+    """Every exponent tuple e, one entry per positive weight w, with
+    sum w*e at most ``bound``, in lexicographic order."""
+    if not weights:
+        return [()] if bound >= 0 else []
+    head, rest = weights[0], weights[1:]
+    return [(e,) + tail for e in range(bound // head + 1)
+            for tail in weighted_exponents(rest, bound - head * e)]
+
+
 def sigma_power_products(n: int, degree_bound: int):
     """All products s_1^a1 * ... * s_n^an of weighted degree <= bound.
 
     Weighted degree is sum k*ak.  Yields (exponent tuple, CommPoly image).
     """
     images = [elementary_symmetric(n, k) for k in range(n + 1)]
-
-    def rec(k, remaining, expo):
-        if k > n:
-            yield tuple(expo), None
-            return
-        max_a = remaining // k
-        for a in range(max_a + 1):
-            expo.append(a)
-            yield from rec(k + 1, remaining - k * a, expo)
-            expo.pop()
-
-    for expo, _ in rec(1, degree_bound, []):
+    for expo in weighted_exponents(tuple(range(1, n + 1)), degree_bound):
         prod = CommPoly.one(n)
         for k, a in enumerate(expo, start=1):
             for _ in range(a):
@@ -235,18 +235,14 @@ def verify_sigma_independence(n: int, degree_bound: int) -> dict:
     from . import linalg
 
     vectors = []
-    expos = []
     basis = {}
-    for expo, poly in sigma_power_products(n, degree_bound):
-        expos.append(expo)
-        vec = {}
-        for ev, c in poly.terms.items():
-            col = basis.setdefault(ev, len(basis))
-            if c.denominator != 1:
-                raise InternalError("power product has a fractional "
-                                    "coefficient")
-            vec[col] = c.numerator
-        vectors.append(vec)
+    for _, poly in sigma_power_products(n, degree_bound):
+        den, ints = integral(poly.terms)
+        if den != 1:
+            raise InternalError("power product has a fractional "
+                                "coefficient")
+        vectors.append({basis.setdefault(ev, len(basis)): c
+                        for ev, c in ints.items()})
     space = linalg.RowSpace(vectors, len(basis))
     return {
         "count": len(vectors),

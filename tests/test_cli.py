@@ -97,25 +97,59 @@ def test_rewrite_stdout_is_pinned(capsys, polynomial, n, output, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+SEARCH = ("search", "--n", "3", "--dim", "2", "--family", "block-triangular",
+          "--seed", "0", "--budget", "500")
+
+
 @pytest.mark.parametrize("argv,code,digest", [
-    (("verify", "cor_1_4", "--n", "4"), 0,
+    (("verify", "cor_1_4", "--n", "4", "--output", "json"), 0,
      "f35aa8f318dbaf7f2c42bdd4602c49864cd20bfb7191cf30e68178de3908c0ae"),
-    (("verify", "eq_4", "--n", "5"), 0,
+    (("verify", "eq_4", "--n", "5", "--output", "json"), 0,
      "b4a444619b2760376ca81fb6a3271baeec6eae6aa5c2f430b0ab4430b7c3ae4c"),
-    (("member", "x1*x2*x3 - x3*x2*x1", "--n", "4"), 1,
+    (("member", "x1*x2*x3 - x3*x2*x1", "--n", "4", "--output", "json"), 1,
      "48930ad47e16f73d6defb49bfc78a6f180869de6320877d43a6445aad08fa330"),
-    (("orbit", "x2^2*x1*x3", "--n", "4"), 0,
+    (("orbit", "x2^2*x1*x3", "--n", "4", "--output", "json"), 0,
      "c79aa7a9c699dab9404ec42ce371ce018f786efd16d92166c0f480c986e2b9a3"),
-    (("factor", "x1*x3^4*x1^2*x2", "--n", "3"), 0,
+    (("orbit", "x2^2*x1*x3", "--n", "4", "--output", "text"), 0,
+     "c144f6b12a3d0ece07c7725a07bced33cccdab89de4471cc65c1a76c399ee7ac"),
+    (("factor", "x1*x3^4*x1^2*x2", "--n", "3", "--output", "json"), 0,
      "edf484e5f10bd0eaf647743345fbe7ac67d5389fa3de9a44efa8b5579e9b6e42"),
-    (("atoms", "--n", "4", "--degree", "4"), 0,
+    (("factor", "x1*x3^4*x1^2*x2", "--n", "3", "--output", "text"), 0,
+     "e88444b6c92bffbbcc993207855be42415e175bc0ae437a83c6d648716412ea7"),
+    (("atoms", "--n", "4", "--degree", "4", "--output", "json"), 0,
      "a99c0cda7a0f5f2100313f4e330be6c95d17c169ae364ff3c86d2ec56b839251"),
-], ids=["cor_1_4", "eq_4", "member", "orbit", "factor", "atoms"])
+    (("atoms", "--n", "4", "--degree", "4", "--output", "text"), 0,
+     "2126878458b12126bf55a17fccb9ade3cea1eed9f25b1b71c1545cf7d2d985a9"),
+    (("sigma", "4", "3", "--output", "text"), 0,
+     "aa885b328817e0cd04a924cd507c7c868a34f2ae6cfb4ea0375a34ba4624f2bf"),
+    (("sigma", "4", "3", "--output", "json"), 0,
+     "a09788b410af8bdbd3af6115c998e8b7694e5c33b1c1d0d3e7dfb8914c33bff1"),
+    (("n3", "reduce", "x1*x3 + x2*x1 + x3*x2", "--no-certify",
+      "--output", "text"), 0,
+     "5bd67e5f58816f6eee1005a466187d953fd035cbbcdaf47d59acbfba7687e183"),
+    (("n3", "reduce", "x1*x3 + x2*x1 + x3*x2", "--no-certify",
+      "--output", "json"), 0,
+     "01a66bb8357750bfcf613d8317dcd81faa12627dfb531a82f0a7f08014568762"),
+    (("n3", "reduce", "x1^3+x2^3+x3^3", "--output", "text"), 0,
+     "f23b6a53740dee8073e376a456520770670c45bde7d93b3cc3aee546c2e9e705"),
+    (SEARCH + ("--output", "text"), 0,
+     "7228ccc95669e559142e2dc702cb4c360e457417f25cfa6ada6289a61f20cf3f"),
+    (SEARCH + ("--output", "json"), 0,
+     "87fa3af48ceaf951fd5c27e805383acb8705b7ec7d3a59fd2dec4c3ddca2a11f"),
+    # a usage error prints nothing on stdout: the digest of b""
+    (("sigma", "2", "1", "--output", "text"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+], ids=["cor_1_4", "eq_4", "member", "orbit", "orbit-text", "factor",
+        "factor-text", "atoms", "atoms-text", "sigma-text", "sigma-json",
+        "n3-reduce-text", "n3-reduce-json", "n3-reduce-certified",
+        "search-text", "search-json", "sigma-n2"])
 def test_word_commands_stdout_is_pinned(capsys, argv, code, digest):
-    """sha256 of the whole JSON stdout and the exit code, taken before
-    monomials were stored as letter tuples: the word layout is internal
-    and never shows in the output."""
-    got, out, _ = run(capsys, *argv, "--output", "json")
+    """sha256 of the whole stdout and the exit code.  The JSON rows of
+    verify, member, orbit, factor and atoms were taken before monomials
+    were stored as letter tuples, the others before the command line
+    printed through one output path: neither change shows in the
+    output."""
+    got, out, _ = run(capsys, *argv)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -124,6 +158,11 @@ def test_rewrite_rejects_noninvariant(capsys):
     code, _, err = run(capsys, "rewrite", "x1*x2", "--n", "3")
     assert code == 2
     assert err.startswith("error:")
+    # an exponent no tuple length can hold is bad input, not a crash
+    code, out, err = run(capsys, "member", "x1^99999999999999999999",
+                         "--n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: exponent 99999999999999999999 exceeds")
 
 
 def test_member_pass_and_fail(capsys):

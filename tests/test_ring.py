@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import pickle
 import random
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 from fractions import Fraction
 
+from sigmaforge import cli, ideal
 from sigmaforge.cyclic import orbit_polynomial
+from sigmaforge.matmodel import MatrixTuple
 from sigmaforge.n3lab import reduce_orbit
 from sigmaforge.rewrite import AtomExpression, rewrite_invariant
 from sigmaforge.ring import (
@@ -313,3 +316,21 @@ def test_run_length_view_is_read_in_ring_only():
     for name in ("word", "complexion", "exponents"):
         assert not hasattr(Monomial, name), name
         assert not hasattr(ONE, name), name
+
+
+def test_each_job_has_one_home():
+    """Rationals are cleared to integers by ``ring.integral`` alone, the
+    command line prints in ``main`` alone, and the value records are
+    stdlib named tuples, not hand-written record classes."""
+    src = Path(__file__).resolve().parents[1] / "src" / "sigmaforge"
+    for path in sorted(src.glob("*.py")):
+        if path.name != "ring.py":
+            assert ".denominator" not in path.read_text(), path.name
+    cli_text = (src / "cli.py").read_text()
+    assert "_require_arity" not in cli_text
+    in_main = inspect.getsource(cli.main).count("args.output")
+    assert in_main and cli_text.count("args.output") == in_main
+    assert not hasattr(ideal, "_Record")
+    assert "_Record" not in (src / "ideal.py").read_text()
+    t = MatrixTuple(1, 1, (((1,),),))
+    assert isinstance(t, tuple) and not hasattr(t, "__dict__")

@@ -62,6 +62,8 @@ BAD_INPUTS = [
     ("parse_beyond_arity", lambda: parse_poly("x1*x4", 3), ValueError),
     ("parse_index_zero", lambda: parse_poly("x0", 3), ValueError),
     ("parse_exponent_zero", lambda: parse_poly("x1^0", 3), ValueError),
+    ("parse_exponent_past_maxsize",
+     lambda: parse_poly("x1^99999999999999999999", 3), ValueError),
     ("arity_mismatch_add",
      lambda: Polynomial.variable(1, 3) + Polynomial.variable(1, 4),
      ValueError),
