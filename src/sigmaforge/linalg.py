@@ -12,7 +12,10 @@ only, after the structured elimination of LaMacchia and Odlyzko (CRYPTO
 1990) carried over to exact integers.  As there, only a row's leading
 column decides when it goes in: rows are inserted by descending leading
 column, so a row whose leading column is still free becomes a pivot
-with no elimination.
+with no elimination.  A caller that knows its first ``head`` rows to
+be linearly independent inserts them before the rest, each part by
+descending leading column; then none of them reduces to zero, and only
+the other rows can be eliminated for nothing.
 
 A built ``RowSpace`` holds its rows in echelon form.  A row is
 back-substituted into its canonical form only when something first
@@ -64,7 +67,12 @@ class RowSpace:
     dropped.  The nonzero rows go in by descending leading column, and
     among rows that lead at the same column the later input goes first,
     so a row whose leading column has no pivot yet becomes one with no
-    elimination.
+    elimination.  The first ``head`` rows go in before all the others,
+    each part in that order.  When the head rows are linearly
+    independent, every one of them becomes a stored row: at each
+    insertion only head rows are stored, so a head row that reduced to
+    zero would be a combination of other head rows.  The canonical rows
+    do not depend on the order; ``sources`` and the records do.
 
     For each stored row, keyed by its pivot column, ``_records`` holds
     one tuple ``(index, mult, div, steps)`` of integers and a flat tuple
@@ -86,7 +94,7 @@ class RowSpace:
     __slots__ = ("ncols", "_rows", "_pivots", "_pivot_of_col", "_records",
                  "_unfinished")
 
-    def __init__(self, rows, ncols: int):
+    def __init__(self, rows, ncols: int, head: int = 0):
         if ncols < 0:
             raise ValueError("ncols must be >= 0")
         self.ncols = ncols
@@ -95,11 +103,12 @@ class RowSpace:
             row = self._sparse(r)
             if row:
                 pending.append((row, index))
-        # popped from the end, so the largest leading column goes first.
-        # Nothing else holds a row once it is popped, so a dependent row
-        # is freed as soon as it reduces to zero, and finishing frees
-        # each stored row it replaces.
-        pending.sort(key=lambda item: min(item[0]))
+        # popped from the end, so the head goes first and, within each
+        # part, the largest leading column.  Nothing else holds a row
+        # once it is popped, so a dependent row is freed as soon as it
+        # reduces to zero, and finishing frees each stored row it
+        # replaces.
+        pending.sort(key=lambda item: (item[1] < head, min(item[0])))
         self._pivot_of_col = {}
         self._records = {}
         while pending:

@@ -282,6 +282,53 @@ def test_run_check_thm_1_1_small():
     assert units[0]["witness"]["rank_commutators"] == 2
 
 
+def slice_by_slice(n, bound, comm, diff):
+    """thm_1_1's units from comparing the two families' canonical rows
+    degree by degree, each family with its own rank."""
+    units = []
+    for d in range(2, bound + 1):
+        a, b = degree_slice(comm, d), degree_slice(diff, d)
+        equal = a.space == b.space
+        units.append({"check": "thm_1_1", "n": n, "degree": d,
+                      "status": "pass" if equal else "fail",
+                      "witness": {"rank_commutators": a.rank,
+                                  "rank_differences": b.rank,
+                                  "spans_equal": equal}})
+    return units
+
+
+@pytest.mark.parametrize("n", sorted(ideal.DEFAULT_DEGREE_BOUND))
+def test_thm_1_1_by_generators_matches_slice_by_slice(n):
+    want = slice_by_slice(n, ideal.default_degree_bound(n),
+                          commutator_generators(n), difference_generators(n))
+    assert run_check("thm_1_1", n) == want
+
+
+@pytest.mark.parametrize("n,bound", [(3, 5), (4, 4)])
+def test_thm_1_1_falls_back_to_slice_by_slice(monkeypatch, n, bound):
+    """With one shift difference dropped, thm_1_1 gives the units of the
+    direct comparison: each family's own rank, and spans_equal false
+    where the spans differ."""
+    comm = commutator_generators(n)
+    full = difference_generators(n)
+    failed = False
+    for drop in range(len(full.gens)):
+        diff = ideal.GeneratorSet(
+            "dropped", n, full.gens[:drop] + full.gens[drop + 1:])
+        with monkeypatch.context() as m:
+            m.setattr(ideal, "difference_generators", lambda _: diff)
+            units = run_check("thm_1_1", n, max_degree=bound)
+        assert units == slice_by_slice(n, bound, comm, diff)
+        for u in units:
+            w = u["witness"]
+            if not w["spans_equal"]:
+                failed = True
+                assert u["status"] == "fail"
+                assert w["rank_differences"] < w["rank_commutators"]
+    assert failed
+    ideal.clear_caches()
+
+
 def test_run_check_rejects_small_n():
     with pytest.raises(ValueError):
         run_check("thm_1_1", 2)
@@ -305,7 +352,8 @@ def test_generator_set_validation():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("n,top,dims", [
-    (3, 8, {6: 50, 7: 70, 8: 95}), (4, 6, {6: 619}), (5, 5, {5: 1107})])
+    (3, 8, {6: 50, 7: 70, 8: 95}), (4, 6, {6: 619}), (5, 5, {5: 1107}),
+    (3, 9, {9: 125})])
 def test_thm_1_1_at_north_star_degrees(n, top, dims):
     """Both families span the same slices up to the target degrees, with
     the quotient dimensions pinned where the default bounds stop."""
@@ -322,8 +370,10 @@ def test_thm_1_1_at_north_star_degrees(n, top, dims):
 def test_slices_finish_only_the_rows_their_queries_touch():
     """A slice back-substitutes a stored row only when a reduction uses
     it or its canonical rows are compared: the four degree-5 queries of
-    factored_coeffs at n=5 touch few rows, and thm_1_1's span
-    comparisons finish every row of the slices they compare."""
+    factored_coeffs at n=5 touch few rows, and thm_1_1, which reduces
+    each generator in the other family's slice and compares no span
+    when all of them are members, leaves rows of its top slices
+    unfinished."""
     ideal.clear_caches()
     comm = commutator_generators(5)
     run_check("factored_coeffs", 5)
@@ -332,10 +382,12 @@ def test_slices_finish_only_the_rows_their_queries_touch():
     assert 0 < finished < space.rank / 4
     assert all(len(rec) == (4 if c in space._unfinished else 7)
                for c, rec in space._records.items())
-    run_check("thm_1_1", 5)
-    for d in range(2, ideal.default_degree_bound(5) + 1):
-        for gset in (comm, difference_generators(5)):
-            space = degree_slice(gset, d).space
-            assert not space._unfinished
-            assert all(len(rec) == 7 for rec in space._records.values())
+    units = run_check("thm_1_1", 5)
+    assert all(u["witness"]["spans_equal"] for u in units)
+    top = ideal.default_degree_bound(5)
+    for gset in (comm, difference_generators(5)):
+        space = degree_slice(gset, top).space
+        assert space._unfinished
+        assert all(len(rec) == (4 if c in space._unfinished else 7)
+                   for c, rec in space._records.items())
     ideal.clear_caches()

@@ -144,22 +144,28 @@ def test_recursion_gives_the_full_spanning_set_canonical_rows(
     """The rows a slice inserts (x_i*s and, for s = g*v, s*x_j over the
     sources s of the slice below, and the degree-d generators) have the
     canonical rows of all spanning rows, and its sources are a basis
-    made of spanning rows."""
+    made of spanning rows.  The x_i*s rows go in first, and none of
+    them reduces to zero."""
     gset = _gset(family, n)
     below = ideal.degree_slice(gset, degree - 1) if degree else None
     calls = []
 
-    def recording(rows, ncols):
-        calls.append(list(rows))
-        return RowSpace(rows, ncols)
+    def recording(rows, ncols, head=0):
+        calls.append((list(rows), head))
+        return RowSpace(rows, ncols, head)
 
     with monkeypatch.context() as m:
         m.setattr(ideal, "RowSpace", recording)
         sl = ideal.DegreeSlice(gset, degree)
     # the slice below is cached, so one elimination: its own
-    (inserted,) = calls
+    ((inserted, head),) = calls
     assert inserted == [sl.spanning_row(t) for t in sl._inputs]
-    assert list(sl._inputs) == sorted(set(sl._inputs))
+    # the x_i*s names (|u| >= 1) in name order, then the s*x_j and
+    # generator names (|u| = 0) in name order
+    xs, rest = sl._inputs[:head], sl._inputs[head:]
+    assert all(t[1] >= 1 for t in xs) and all(t[1] == 0 for t in rest)
+    assert list(xs) == sorted(set(xs)) and list(rest) == sorted(set(rest))
+    assert set(xs) <= set(sl.sources)
 
     # how many rows the recursion picks, from the sources' words
     n_top = sum(1 for g in gset.gens if g.degree() == degree)
