@@ -21,6 +21,16 @@ that this recursion picks from the basis of the slice below it (see
 ``DegreeSlice``), not every u*g*v: at n=3 degree 8 that is 6591 of
 20898 rows.  The canonical rows do not depend on which spanning rows
 go in, so neither do ranks, residuals or any output.
+
+The commutators [x_i, s_m] and the shift differences D(k, r) = s_k -
+act(r, s_k) need no slice to be compared: each generator of either
+family has a closed-form certificate in the other, read off the ordered
+generating function E = (1 + x_1 y)...(1 + x_n y) = sum s_k y^k, the
+lambda(t) of noncommutative symmetric functions (Gelfand, Krob,
+Lascoux, Leclerc, Retakh and Thibon, Adv. Math. 1995).  A certificate
+is rebuilt exactly in the free ring by ``_rebuilds``, the one integer
+routine that also checks a slice's certificates; ``check_thm_1_1`` and
+``check_factored_coeffs`` fall back to slices only when one fails.
 """
 
 from __future__ import annotations
@@ -29,11 +39,12 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 
 from . import cyclic
 from .linalg import RowSpace
-from .ring import (InternalError, Polynomial, basis_words, integral,
-                   render_poly, variable_commutator)
+from .ring import (ONE, InternalError, Monomial, Polynomial, basis_words,
+                   commutator, integral, render_poly, variable_commutator)
 from .sigma import (build_sigma, char_poly_image, factored_char_coefficients,
                     inverse_identity_image, verify_sigma_independence)
 
@@ -94,17 +105,24 @@ class GeneratorSet:
         return f"GeneratorSet({self.name!r}, n={self.n}, #gens={len(self.gens)})"
 
 
+def _commutators(n: int) -> dict:
+    """{(i, m): [x_i, s_m]} for i, m in 1..n."""
+    return {(i, m): commutator(Polynomial.variable(i, n), build_sigma(n, m))
+            for i in range(1, n + 1) for m in range(1, n + 1)}
+
+
+def _differences(n: int) -> dict:
+    """{(k, r): D(k, r)} for D(k, r) = s_k - act(r, s_k), k in 1..n and
+    the nontrivial shifts r in 1..n-1."""
+    return {(k, r): build_sigma(n, k) - cyclic.act(r, build_sigma(n, k), n)
+            for k in range(1, n + 1) for r in range(1, n)}
+
+
 @lru_cache(maxsize=None)
 def commutator_generators(n: int) -> GeneratorSet:
     """[x_i, s_k] for all i, k in 1..n."""
-    gens = []
-    for i in range(1, n + 1):
-        xi = Polynomial.variable(i, n)
-        for k in range(1, n + 1):
-            g = xi * build_sigma(n, k) - build_sigma(n, k) * xi
-            if not g.is_zero():
-                gens.append(g)
-    return GeneratorSet(COMMUTATORS, n, gens)
+    return GeneratorSet(COMMUTATORS, n, [
+        g for g in _commutators(n).values() if not g.is_zero()])
 
 
 @lru_cache(maxsize=None)
@@ -113,14 +131,8 @@ def difference_generators(n: int) -> GeneratorSet:
 
     The k=1 differences vanish identically (s_1 is fully symmetric).
     """
-    gens = []
-    for k in range(1, n + 1):
-        sk = build_sigma(n, k)
-        for r in range(1, n):
-            diff = sk - cyclic.act(r, sk, n)
-            if not diff.is_zero():
-                gens.append(diff)
-    return GeneratorSet(DIFFERENCES, n, gens)
+    return GeneratorSet(DIFFERENCES, n, [
+        g for g in _differences(n).values() if not g.is_zero()])
 
 
 def generator_set(name: str, n: int) -> GeneratorSet:
@@ -322,20 +334,29 @@ class DegreeSlice:
         if reduced.row:
             return None
         den, ks = self.space._unwind(reduced.alpha, reduced.steps)
-        denom = den * reduced.scale
-        recon = {}
-        cert = []
-        for i, k in sorted(ks.items()):
-            u, gi, v = self.row_source(self._inputs[i])
-            gscale, gvec = self.gset._integer[gi]
-            for m, c in gvec.items():
-                w = u * m * v
-                recon[w] = recon.get(w, 0) + k * c
-            cert.append((Fraction(k * gscale, denom), u, gi, v))
+        combo = [(k, *self.row_source(self._inputs[i]))
+                 for i, k in sorted(ks.items())]
         want = {m: den * x for m, x in integral(p.terms)[1].items()}
-        if {w: x for w, x in recon.items() if x} != want:
+        if not _rebuilds(self.gset, combo, want):
             raise InternalError("certificate failed reconstruction")
-        return cert
+        denom = den * reduced.scale
+        integer = self.gset._integer
+        return [(Fraction(k * integer[gi][0], denom), u, gi, v)
+                for k, u, gi, v in combo]
+
+
+def _rebuilds(gset: GeneratorSet, combo, want: dict) -> bool:
+    """Is sum k*(u*G*v) over ``combo``, [(int k, u, gi, v)] with G the
+    integerized ``gset.gens[gi]``, exactly ``want``, {word: int}?  The
+    words are multiplied in the free ring, not read off their codes."""
+    integer = gset._integer
+    recon = {}
+    get = recon.get
+    for k, u, gi, v in combo:
+        for m, c in integer[gi][1].items():
+            w = u * m * v
+            recon[w] = get(w, 0) + k * c
+    return {w: x for w, x in recon.items() if x} == want
 
 
 _slice_cache = {}
@@ -532,6 +553,112 @@ def reconstruct_quadratic(coeffs: dict, n: int) -> Polynomial:
     return total
 
 
+# -- each family in terms of the other --------------------------------
+#
+# With X_j = 1 + x_j*y for a degree marker y, E = X_1*X_2*...*X_n is
+# sum s_k y^k, and act(r, E) = X_{r+1}...X_n*X_1...X_r.  Each identity
+# below is a coefficient of y in a product of these series.
+
+
+def _difference_in_commutators(n: int, k: int, r: int) -> list:
+    """D(k, r) as [(c, u, (i, m), v)] with sum c*(u*[x_i, s_m]*v) =
+    D(k, r), read off the y^k coefficient of E - act(r, E).
+
+    With A = X_1...X_r and B = X_{r+1}...X_n, E = A*B and act(r, E) =
+    B*A, so E - act(r, E) = A^-1 [A, E] = -[B, E] B^-1.  Expanding
+    [A, E] = sum_i X_1...X_{i-1} y[x_i, E] X_{i+1}...X_r gives
+
+        sum_{i<=r} X_r^-1...X_i^-1 y[x_i, E] X_{i+1}...X_r,
+
+    where the inverses give (-1)^a times the weakly decreasing words of
+    length a in the letters i..r, and the X_j the strictly increasing
+    words in i+1..r.  For r > n/2 the mirror form
+
+        -sum_{i>r} X_{r+1}...X_{i-1} y[x_i, E] X_i^-1...X_{r+1}^-1
+
+    has fewer terms.  Empty for k < 2 or r = 0, where D(k, r) = 0.
+    """
+    out = []
+    mirror = 2 * r > n
+    for i in (range(r + 1, n + 1) if mirror else range(1, r + 1)):
+        if mirror:
+            sign, ups, downs = -1, range(r + 1, i), range(i, r, -1)
+        else:
+            sign, ups, downs = 1, range(i + 1, r + 1), range(r, i - 1, -1)
+        for m in range(1, k):
+            for a in range(k - m):
+                for down in combinations_with_replacement(downs, a):
+                    down = Monomial._trusted(down)
+                    for up in combinations(ups, k - 1 - m - a):
+                        up = Monomial._trusted(up)
+                        u, v = (up, down) if mirror else (down, up)
+                        out.append((sign * (-1) ** a, u, (i, m), v))
+    return out
+
+
+def _commutator_in_differences(n: int, i: int, m: int) -> list:
+    """[x_i, s_m] as [(c, u, (k, r), v)] with sum c*(u*D(k, r)*v) =
+    [x_i, s_m]: the four terms of
+
+        [x_i, s_m] = D(m+1, i) - D(m+1, i-1) + x_i*D(m, i) - D(m, i-1)*x_i,
+
+    the y^(m+1) coefficient of X_i*E - E*X_i = X_i*(E - act(i, E)) -
+    (E - act(i-1, E))*X_i, which holds as act(i-1, E)*X_i = X_i*act(i,
+    E).  The terms with D(k, r) identically zero (k = 1 or n+1, r = 0 or
+    n) are left out.
+    """
+    xi = Monomial._trusted((i,))
+    terms = ((1, ONE, (m + 1, i), ONE), (-1, ONE, (m + 1, i - 1), ONE),
+             (1, xi, (m, i), ONE), (-1, ONE, (m, i - 1), xi))
+    return [t for t in terms if 2 <= t[2][0] <= n and 0 < t[2][1] < n]
+
+
+def _positions(gset: GeneratorSet, values: dict) -> dict:
+    """{name: gi} for each ``values[name]`` that is ``gset.gens[gi]``,
+    None for the rest: a generator is found by its value, never by its
+    position, so a changed family has no certificate."""
+    index = {g: gi for gi, g in enumerate(gset.gens)}
+    return {name: index.get(g) for name, g in values.items()}
+
+
+def _closed_form_certificate(gset: GeneratorSet, p: Polynomial, form,
+                             where: dict):
+    """[(c, u, gi, v)] with sum c*(u*g*v) = p for g = gset.gens[gi], from
+    the closed form ``form``, [(int c, u, name, v)], and ``where =
+    _positions(gset, values)``.  None when a generator of the form is
+    not in ``gset`` or the form, rebuilt in the free ring, is not p."""
+    cert = []
+    for c, u, name, v in form:
+        gi = where.get(name)
+        if gi is None:
+            return None
+        cert.append((c, u, gi, v))
+    # the generators found are integer, so each is its integerized form
+    scale, want = integral(p.terms)
+    if scale != 1 or not _rebuilds(gset, cert, want):
+        return None
+    return [(Fraction(c), u, gi, v) for c, u, gi, v in cert]
+
+
+def _each_in_other(comm: GeneratorSet, diff: GeneratorSet) -> bool:
+    """Does every generator of each family rebuild from its closed form
+    in the other?  Then the two ideals are equal in every degree."""
+    n = comm.n
+    in_comm = _positions(comm, _commutators(n))
+    in_diff = _positions(diff, _differences(n))
+    for gset, where, form, other, other_where in (
+            (diff, in_diff, _difference_in_commutators, comm, in_comm),
+            (comm, in_comm, _commutator_in_differences, diff, in_diff)):
+        names = {gi: name for name, gi in where.items() if gi is not None}
+        if len(names) != len(gset.gens):
+            return False
+        for gi, name in names.items():
+            if _closed_form_certificate(other, gset.gens[gi], form(n, *name),
+                                        other_where) is None:
+                return False
+    return True
+
+
 # -- named verification checks ---------------------------------------
 
 
@@ -553,12 +680,22 @@ def check_thm_1_1(n: int, max_degree=None):
     same slice in every certified degree.
 
     Both ideals are two-sided and homogeneous, so their slices agree in
-    every degree up to the bound exactly when each generator of degree
-    at most the bound of either family is in the other family's slice
-    at its own degree.  That costs one reduction per generator, and no
-    slice of the differences above the commutators' top degree; only
-    when a generator fails are the slices compared degree by degree,
-    for each family's own rank.
+    every degree up to the bound when each generator of either family
+    is in the other family's ideal.  Each is, by a closed form rebuilt
+    in the free ring: D(k, r) = s_k - act(r, s_k) as a sum of
+    u*[x_i, s_m]*v, from the y^k coefficient of E - act(r, E) =
+    A^-1 [A, E] for E = (1 + x_1 y)...(1 + x_n y) = A*B with A the
+    first r factors, and
+
+        [x_i, s_m] = D(m+1, i) - D(m+1, i-1) + x_i*D(m, i) - D(m, i-1)*x_i
+
+    (see ``_difference_in_commutators`` and
+    ``_commutator_in_differences``).  Then only the commutators' slices
+    are built, for their ranks.  When a closed form is missing (a
+    changed family) or fails to rebuild, each generator of degree at
+    most the bound is reduced in the other family's slice at its own
+    degree, and when one of those fails the slices are compared degree
+    by degree, for each family's own rank.
     """
     bound = default_degree_bound(n) if max_degree is None else max_degree
     if bound < 2:
@@ -566,8 +703,9 @@ def check_thm_1_1(n: int, max_degree=None):
                          f"got {bound}")
     comm = commutator_generators(n)
     diff = difference_generators(n)
-    same = (_generates_within(comm, diff, bound)
-            and _generates_within(diff, comm, bound))
+    same = (_each_in_other(comm, diff)
+            or (_generates_within(comm, diff, bound)
+                and _generates_within(diff, comm, bound)))
     out = []
     for d in range(2, bound + 1):
         a = degree_slice(comm, d)
@@ -687,12 +825,22 @@ def check_root_identity(n: int, max_degree=None):
 
 
 def check_factored_coeffs(n: int, max_degree=None):
+    """The y^(n-k) coefficient of the product of (y - x_j) over the
+    order rotated by r is (-1)^k act(r, s_k), so it differs from
+    (-1)^k s_k by (-1)^(k+1) D(k, r), D(k, r) = s_k - act(r, s_k).
+    Each difference is certified in the commutator ideal by the closed
+    form of ``_difference_in_commutators``, rebuilt in the free ring;
+    ``member`` decides only one whose closed form fails to rebuild."""
     gset = commutator_generators(n)
+    where = _positions(gset, _commutators(n))
     out = []
     for r in range(n):
         bad = []
         for k, diff in factored_char_coefficients(n, r).items():
-            if not member(diff, gset).member:
+            form = [((-1) ** (k + 1) * c, u, name, v)
+                    for c, u, name, v in _difference_in_commutators(n, k, r)]
+            if (_closed_form_certificate(gset, diff, form, where) is None
+                    and not member(diff, gset).member):
                 bad.append(k)
         out.append(_unit("factored_coeffs", n, n, not bad,
                          {"rotation": r, "failed_k": bad}))

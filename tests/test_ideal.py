@@ -24,6 +24,7 @@ from sigmaforge.ring import (
     parse_poly,
     variable_commutator,
 )
+from sigmaforge.sigma import factored_char_coefficients
 
 # independently derived quotient dimensions, frozen
 QUOTIENT_DIMS = {
@@ -369,14 +370,15 @@ def test_thm_1_1_at_north_star_degrees(n, top, dims):
 
 def test_slices_finish_only_the_rows_their_queries_touch():
     """A slice back-substitutes a stored row only when a reduction uses
-    it or its canonical rows are compared: the four degree-5 queries of
-    factored_coeffs at n=5 touch few rows, and thm_1_1, which reduces
-    each generator in the other family's slice and compares no span
-    when all of them are members, leaves rows of its top slices
-    unfinished."""
+    it or its canonical rows are compared: the four degree-5 member
+    queries of the factored coefficients at n=5 (k=5, r=1..4) touch few
+    rows, and thm_1_1, which compares no span when the families certify
+    each other in closed form, leaves rows of its top commutator slice
+    unfinished and builds no difference slice."""
     ideal.clear_caches()
     comm = commutator_generators(5)
-    run_check("factored_coeffs", 5)
+    for r in range(1, 5):
+        assert member(factored_char_coefficients(5, r)[5], comm).member
     space = degree_slice(comm, 5).space
     finished = space.rank - len(space._unfinished)
     assert 0 < finished < space.rank / 4
@@ -385,6 +387,7 @@ def test_slices_finish_only_the_rows_their_queries_touch():
     units = run_check("thm_1_1", 5)
     assert all(u["witness"]["spans_equal"] for u in units)
     top = ideal.default_degree_bound(5)
+    assert all(key[0] == comm.cache_key() for key in ideal._slice_cache)
     for gset in (comm, difference_generators(5)):
         space = degree_slice(gset, top).space
         assert space._unfinished
