@@ -105,12 +105,14 @@ class GeneratorSet:
         return f"GeneratorSet({self.name!r}, n={self.n}, #gens={len(self.gens)})"
 
 
+@lru_cache(maxsize=None)
 def _commutators(n: int) -> dict:
     """{(i, m): [x_i, s_m]} for i, m in 1..n."""
     return {(i, m): commutator(Polynomial.variable(i, n), build_sigma(n, m))
             for i in range(1, n + 1) for m in range(1, n + 1)}
 
 
+@lru_cache(maxsize=None)
 def _differences(n: int) -> dict:
     """{(k, r): D(k, r)} for D(k, r) = s_k - act(r, s_k), k in 1..n and
     the nontrivial shifts r in 1..n-1."""
@@ -367,6 +369,8 @@ def clear_caches():
     _slice_cache.clear()
     commutator_generators.cache_clear()
     difference_generators.cache_clear()
+    _commutators.cache_clear()
+    _differences.cache_clear()
     _canonical_quadratic_space.cache_clear()
     _code_table.cache_clear()
 
@@ -621,23 +625,20 @@ def _positions(gset: GeneratorSet, values: dict) -> dict:
     return {name: index.get(g) for name, g in values.items()}
 
 
-def _closed_form_certificate(gset: GeneratorSet, p: Polynomial, form,
-                             where: dict):
-    """[(c, u, gi, v)] with sum c*(u*g*v) = p for g = gset.gens[gi], from
-    the closed form ``form``, [(int c, u, name, v)], and ``where =
-    _positions(gset, values)``.  None when a generator of the form is
-    not in ``gset`` or the form, rebuilt in the free ring, is not p."""
-    cert = []
+def _certified(gset: GeneratorSet, p: Polynomial, form, where: dict) -> bool:
+    """Is sum c*(u*g*v) exactly p, rebuilt in the free ring over the
+    closed form ``form``, [(int c, u, name, v)], with g the generator
+    ``where[name]`` of ``gset``, ``where = _positions(gset, values)``?
+    False when a generator of the form is not in ``gset``."""
+    combo = []
     for c, u, name, v in form:
         gi = where.get(name)
         if gi is None:
-            return None
-        cert.append((c, u, gi, v))
+            return False
+        combo.append((c, u, gi, v))
     # the generators found are integer, so each is its integerized form
     scale, want = integral(p.terms)
-    if scale != 1 or not _rebuilds(gset, cert, want):
-        return None
-    return [(Fraction(c), u, gi, v) for c, u, gi, v in cert]
+    return scale == 1 and _rebuilds(gset, combo, want)
 
 
 def _each_in_other(comm: GeneratorSet, diff: GeneratorSet) -> bool:
@@ -653,8 +654,8 @@ def _each_in_other(comm: GeneratorSet, diff: GeneratorSet) -> bool:
         if len(names) != len(gset.gens):
             return False
         for gi, name in names.items():
-            if _closed_form_certificate(other, gset.gens[gi], form(n, *name),
-                                        other_where) is None:
+            if not _certified(other, gset.gens[gi], form(n, *name),
+                              other_where):
                 return False
     return True
 
@@ -666,13 +667,6 @@ def _unit(check, n, degree, status, witness):
     """The one builder of a report unit, keys in the order printed."""
     return {"check": check, "n": n, "degree": degree,
             "status": "pass" if status else "fail", "witness": witness}
-
-
-def _generates_within(a: GeneratorSet, b: GeneratorSet, bound: int) -> bool:
-    """Is every generator of ``a`` of degree at most ``bound`` in the
-    slice of ``b`` at its own degree?"""
-    return all(degree_slice(b, g.degree()).contains(g)
-               for g in a.gens if g.degree() <= bound)
 
 
 def check_thm_1_1(n: int, max_degree=None):
@@ -692,10 +686,9 @@ def check_thm_1_1(n: int, max_degree=None):
     (see ``_difference_in_commutators`` and
     ``_commutator_in_differences``).  Then only the commutators' slices
     are built, for their ranks.  When a closed form is missing (a
-    changed family) or fails to rebuild, each generator of degree at
-    most the bound is reduced in the other family's slice at its own
-    degree, and when one of those fails the slices are compared degree
-    by degree, for each family's own rank.
+    changed family) or fails to rebuild, the canonical rows of the two
+    families' slices are compared degree by degree, each family
+    reporting its own rank.
     """
     bound = default_degree_bound(n) if max_degree is None else max_degree
     if bound < 2:
@@ -703,9 +696,7 @@ def check_thm_1_1(n: int, max_degree=None):
                          f"got {bound}")
     comm = commutator_generators(n)
     diff = difference_generators(n)
-    same = (_each_in_other(comm, diff)
-            or (_generates_within(comm, diff, bound)
-                and _generates_within(diff, comm, bound)))
+    same = _each_in_other(comm, diff)
     out = []
     for d in range(2, bound + 1):
         a = degree_slice(comm, d)
@@ -839,7 +830,7 @@ def check_factored_coeffs(n: int, max_degree=None):
         for k, diff in factored_char_coefficients(n, r).items():
             form = [((-1) ** (k + 1) * c, u, name, v)
                     for c, u, name, v in _difference_in_commutators(n, k, r)]
-            if (_closed_form_certificate(gset, diff, form, where) is None
+            if (not _certified(gset, diff, form, where)
                     and not member(diff, gset).member):
                 bad.append(k)
         out.append(_unit("factored_coeffs", n, n, not bad,

@@ -27,11 +27,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SLOW_7 = pytest.param(7, marks=pytest.mark.slow)
 
 
-def rebuild(cert, gset):
+def rebuild(form, where, gset):
+    """sum c*(u*g*v) over the closed form ``form``, g the generator
+    ``where[name]`` of ``gset``, multiplied as ``Polynomial``."""
     n = gset.n
     total = Polynomial.zero(n)
-    for c, u, gi, v in cert:
-        total = total + (Polynomial.from_monomial(u, n) * gset.gens[gi]
+    for c, u, name, v in form:
+        total = total + (Polynomial.from_monomial(u, n)
+                         * gset.gens[where[name]]
                          * Polynomial.from_monomial(v, n)) * c
     return total
 
@@ -44,9 +47,8 @@ def assert_each_rebuilds(n, values, form, other, other_values):
     for name, g in values.items():
         if g.is_zero():
             continue
-        cert = ideal._closed_form_certificate(other, g, form(n, *name), where)
-        assert cert is not None, name
-        assert rebuild(cert, other) == g, name
+        assert ideal._certified(other, g, form(n, *name), where), name
+        assert rebuild(form(n, *name), where, other) == g, name
         count += 1
     return count
 
@@ -97,9 +99,8 @@ def test_missing_generator_has_no_certificate():
     assert uses
     for k, r in uses:
         g = ideal._differences(n)[k, r]
-        assert ideal._closed_form_certificate(
-            dropped, g, ideal._difference_in_commutators(n, k, r),
-            where) is None
+        assert not ideal._certified(
+            dropped, g, ideal._difference_in_commutators(n, k, r), where)
     assert not ideal._each_in_other(dropped, difference_generators(n))
 
 
@@ -134,8 +135,10 @@ def test_flipped_sign_is_refused_and_checks_fall_back(monkeypatch, name):
     comm, diff = commutator_generators(n), difference_generators(n)
     assert not ideal._each_in_other(comm, diff)
     assert json.dumps(run_check("thm_1_1", n)) == want["thm_1_1"]
-    # the fallback reduced the generators in the other family's slices
-    assert (diff.cache_key(), 2) in ideal._slice_cache
+    # the fallback compared the two families' slices degree by degree
+    assert all((gset.cache_key(), d) in ideal._slice_cache
+               for gset in (comm, diff)
+               for d in range(2, ideal.default_degree_bound(n) + 1))
     assert calls == []
     assert json.dumps(run_check("factored_coeffs", n)) == want[
         "factored_coeffs"]
@@ -169,8 +172,7 @@ def test_flipped_sign_is_refused_under_optimize():
         comm = ideal.commutator_generators(4)
         where = ideal._positions(comm, ideal._commutators(4))
         g = ideal._differences(4)[3, 1]
-        if ideal._closed_form_certificate(comm, g, flipped(4, 3, 1),
-                                          where) is None:
+        if not ideal._certified(comm, g, flipped(4, 3, 1), where):
             print("refused")
         if not ideal._each_in_other(comm, ideal.difference_generators(4)):
             print("thm_1_1 refused")
