@@ -8,6 +8,14 @@ the relations without being fully commutative, and probes products of
 commutators for vanishing or singularity. A vanishing product in such
 a model is recorded evidence, never a proof in either direction.
 
+Every sigma_k of a tuple is a coefficient of one ordered product,
+E(y) = (I + M_1 y)...(I + M_n y), the lambda series of noncommutative
+symmetric functions. eval_sigmas builds E(y) suffix by suffix with
+sigma_k(M_i..M_n) = M_i sigma_{k-1}(M_{i+1}..M_n) + sigma_k(M_{i+1}..M_n),
+in n(n-1)/2 matrix products for all k together: 6 at n=4, against 17
+for the sums over index words of eval_sigma_matrices, the definition
+kept as the reference.
+
 All arithmetic is exact: entries are ints or Fractions, singularity is
 decided by exact rank.
 """
@@ -127,19 +135,24 @@ def eval_sigma_matrices(t: MatrixTuple, k: int):
     return total
 
 
-def eval_sigma_recursive(t: MatrixTuple, k: int):
-    """Same value by peeling the first matrix off every word.
+def eval_sigmas(mats) -> list:
+    """[sigma_1, ..., sigma_n] of the ordered square matrices ``mats``:
+    the coefficients of y^1..y^n in E(y) = (I + M_1 y)...(I + M_n y).
 
-    Kept as a second route so the recursion can be checked against the
-    combination sum on concrete tuples.
+    Built by the suffix recursion of the module docstring, where
+    sigma_0 = I and sigma_k = 0 on a suffix shorter than k. Those two
+    cases take an addition and a bare product, so prepending M_i to a
+    suffix of length m costs m products. ``mats``, such as
+    ``MatrixTuple.mats``, is not validated.
     """
-    if not 0 <= k <= t.n:
-        raise ValueError(f"k must lie in 0..{t.n}, got {k}")
-    table = [identity_matrix(t.dim)] + [zero_matrix(t.dim)] * k
-    for m in reversed(t.mats):
-        for j in range(k, 0, -1):
-            table[j] = mat_add(mat_mul(m, table[j - 1]), table[j])
-    return table[k]
+    *rest, last = mats
+    sigmas = [last]
+    for m in reversed(rest):
+        sigmas = ([mat_add(m, sigmas[0])]
+                  + [mat_add(mat_mul(m, a), b)
+                     for a, b in zip(sigmas, sigmas[1:])]
+                  + [mat_mul(m, sigmas[-1])])
+    return sigmas
 
 
 def check_c12(t: MatrixTuple) -> tuple:
@@ -149,19 +162,23 @@ def check_c12(t: MatrixTuple) -> tuple:
     of the tuple. commuting: every sigma_k commutes with every matrix
     of the tuple. Disagreement would falsify the equivalence, so it is
     an assertion failure rather than a return value.
+
+    The sigmas of the tuple, then of each shift in turn until one
+    differs, come from eval_sigmas as the coefficients of
+    E(y) = (I + M_1 y)...(I + M_n y), built by
+    sigma_k(M_i..M_n) = M_i sigma_{k-1}(M_{i+1}..M_n) + sigma_k(M_{i+1}..M_n)
+    in n(n-1)/2 matrix products per tuple or shift. Summing each
+    sigma_k over its index words would take
+    sum_k C(n,k)(k-1) = (n-2)2^(n-1) + 1. The commuting verdict takes
+    2n^2 more. On an invariant tuple with n=4 that is 4 * 6 + 32 = 56
+    products, against 4 * 17 + 32 = 100 word by word.
     """
-    sigmas = [eval_sigma_matrices(t, k) for k in range(1, t.n + 1)]
-    invariant = True
-    for r in range(1, t.n):
-        rot = t.rotated(r)
-        for k in range(1, t.n + 1):
-            if eval_sigma_matrices(rot, k) != sigmas[k - 1]:
-                invariant = False
-                break
-        if not invariant:
-            break
+    mats = t.mats
+    sigmas = eval_sigmas(mats)
+    invariant = all(eval_sigmas(mats[r:] + mats[:r]) == sigmas
+                    for r in range(1, t.n))
     commuting = all(mat_mul(s, m) == mat_mul(m, s)
-                    for s in sigmas for m in t.mats)
+                    for s in sigmas for m in mats)
     if invariant != commuting:
         raise AssertionError(
             f"invariant={invariant} but commuting={commuting}; "

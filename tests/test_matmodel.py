@@ -20,7 +20,7 @@ from sigmaforge.matmodel import (
     check_c12,
     cyclic_permutation_matrix,
     eval_sigma_matrices,
-    eval_sigma_recursive,
+    eval_sigmas,
     examine_tuple,
     identity_matrix,
     is_zero_matrix,
@@ -73,11 +73,78 @@ def test_sigma_top_is_full_product():
 
 def test_recursion_route_matches_definition():
     rng = random.Random(2)
+    tuples = []
     for family in FAMILIES:
-        for n, dim in ((3, 2), (4, 3), (5, 2)):
-            t = random_tuple(family, n, dim, rng)
-            for k in range(0, n + 1):
-                assert eval_sigma_matrices(t, k) == eval_sigma_recursive(t, k)
+        for n in range(1, 7):
+            for dim in range(1 if family != "block-triangular" else 2, 5):
+                tuples.append(random_tuple(family, n, dim, rng))
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    a = ((half, 1), (0, third))
+    b = ((2, third), (half, 0))
+    c = ((Fraction(5, 4), 0), (-1, half))
+    tuples += [MatrixTuple.from_mats(mats) for mats in (
+        (((half,),), ((third,),)),
+        (a, b, c),
+        (a, b, a, c, b),
+        (((half, third), (third, half)),) * 4,
+        (((0, 0), (0, 0)), a, ((1, 0), (0, 1))),
+    )]
+    for t in tuples:
+        sigmas = eval_sigmas(t.mats)
+        assert len(sigmas) == t.n
+        for k in range(1, t.n + 1):
+            assert sigmas[k - 1] == eval_sigma_matrices(t, k), (t, k)
+
+
+def _c12_word_by_word(t):
+    """check_c12 as it read with one sum over index words per sigma_k
+    and per rotation; the reference for the one-pass version."""
+    sigmas = [eval_sigma_matrices(t, k) for k in range(1, t.n + 1)]
+    invariant = True
+    for r in range(1, t.n):
+        rot = t.rotated(r)
+        for k in range(1, t.n + 1):
+            if eval_sigma_matrices(rot, k) != sigmas[k - 1]:
+                invariant = False
+                break
+        if not invariant:
+            break
+    commuting = all(mat_mul(s, m) == mat_mul(m, s)
+                    for s in sigmas for m in t.mats)
+    return invariant, commuting
+
+
+def test_check_c12_matches_word_by_word_reference():
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(2000):
+        family = rng.choice(FAMILIES)
+        t = random_tuple(family, rng.randint(2, 4), rng.randint(2, 3), rng)
+        got = check_c12(t)
+        assert got == _c12_word_by_word(t), t
+        seen.add(got)
+    assert seen == {(True, True), (False, False)}
+
+
+def test_check_c12_product_count(monkeypatch):
+    """An invariant n=4 tuple: 6 products for the sigmas of the tuple and
+    of each of its 3 rotations, 32 for the commuting verdict."""
+    calls = []
+    mul = matmodel.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    def diag(*v):
+        return tuple(tuple(x if i == j else 0 for j, x in enumerate(v))
+                     for i in range(len(v)))
+
+    t = MatrixTuple.from_mats(
+        (diag(1, 2, 3), diag(-1, 0, 2), diag(3, 3, 1), diag(2, -2, 0)))
+    monkeypatch.setattr(matmodel, "mat_mul", counted)
+    assert check_c12(t) == (True, True)
+    assert len(calls) == 4 * 6 + 32
 
 
 def test_check_c12_commuting_family():
@@ -332,9 +399,9 @@ t = matmodel.MatrixTuple.from_mats(
     [((1, 0), (0, 2)), ((3, 0), (0, 4)), ((5, 0), (0, 6))])
 # the tuple itself gets identity sigmas (which commute with everything),
 # every rotation gets zero sigmas: the two verdicts must disagree
-matmodel.eval_sigma_matrices = lambda u, k: (
-    matmodel.identity_matrix(u.dim) if u == t
-    else matmodel.zero_matrix(u.dim))
+matmodel.eval_sigmas = lambda mats: [
+    (matmodel.identity_matrix if mats == t.mats
+     else matmodel.zero_matrix)(t.dim)] * t.n
 try:
     matmodel.check_c12(t)
 except AssertionError:
