@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 # atoms, rewrite, n3lab and matmodel are imported by the commands that
@@ -33,14 +32,6 @@ from .ring import (InternalError, parse_monomial, parse_poly,
 from .sigma import build_sigma
 
 VERIFY_NAMES = tuple(ideal.CHECKS) + ("n3",)
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("SIGMAFORGE_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit_units(units, mode: str) -> int:
@@ -137,8 +128,7 @@ def _cmd_search(args):
 
     report = matmodel.zero_divisor_search(
         {"n": args.n, "dim": args.dim, "family": args.family,
-         "seed": args.seed, "budget": args.budget},
-        jobs=args.jobs)
+         "seed": args.seed, "budget": args.budget})
     p = report["params"]
     c = report["counts"]
     lines = [f"family={p['family']} n={p['n']} dim={p['dim']} "
@@ -237,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                          parents=[_output_parent(argparse.SUPPRESS)],
                          help="reduce an invariant to its symbol form")
     q.add_argument("polynomial")
-    q.add_argument("--max-degree", type=int, default=6)
+    q.add_argument("--max-degree", type=int, default=None)
     q.add_argument("--no-certify", action="store_true",
                    help="skip the membership certification of the result")
     q.set_defaults(func=_cmd_n3_reduce)
@@ -251,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True).choices = _Families()
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help="worker processes (default from SIGMAFORGE_JOBS)")
     p.set_defaults(func=_cmd_search)
 
     return parser

@@ -780,14 +780,15 @@ def check_cor_1_5(n: int, max_degree=None):
     return [_unit("cor_1_5", n, 2, ok, {"member": ok})]
 
 
-def check_cor_1_6_dim(n: int, max_degree=None, trips=20, seed=0):
+def check_cor_1_6_dim(n: int, max_degree=None):
     import random
 
     expected = n * n - n + 1
     q = quotient_dim(n, 2)
     out = [_unit("cor_1_6_dim", n, 2, q == expected,
                  {"quotient_dim": q, "expected": expected})]
-    rng = random.Random(seed)
+    trips = 20
+    rng = random.Random(0)
     gset = commutator_generators(n)
     words = basis_words(n, 2)
     failures = 0
@@ -879,8 +880,7 @@ def run_check(name: str, n: int, max_degree=None):
             raise ValueError("the n3 suite is defined for n = 3 only")
         from . import n3lab
 
-        return n3lab.verify_n3_suite(
-            max_degree=6 if max_degree is None else max_degree)
+        return n3lab.verify_n3_suite(max_degree=max_degree)
     fn = CHECKS.get(name)
     if fn is None:
         raise ValueError(f"unknown check {name!r}")

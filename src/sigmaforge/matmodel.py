@@ -23,7 +23,6 @@ decided by exact rank.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -247,11 +246,6 @@ def random_tuple(family: str, n: int, dim: int, rng: random.Random) -> MatrixTup
     return MatrixTuple(n, dim, tuple(mats))
 
 
-def _examine(arg):
-    index, t = arg
-    return examine_tuple(t, index)
-
-
 def examine_tuple(t: MatrixTuple, index: int = 0):
     """Filter one tuple; returns (summary, candidate record or None)."""
     invariant, commuting = check_c12(t)
@@ -288,7 +282,7 @@ def examine_tuple(t: MatrixTuple, index: int = 0):
     return summary, candidate
 
 
-def zero_divisor_search(params, jobs: int = 1) -> dict:
+def zero_divisor_search(params) -> dict:
     """Seeded search over one family; returns a JSON-ready report.
 
     params carries n, dim, family, seed and budget. Candidates are the
@@ -310,31 +304,19 @@ def zero_divisor_search(params, jobs: int = 1) -> dict:
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     rng = random.Random(seed)
-    drawn = [random_tuple(family, n, dim, rng) for _ in range(budget)]
-    indexed = list(enumerate(drawn))
-    results = None
-    # more workers than tuples or cores buys nothing; one runs serially
-    workers = min(jobs, budget, os.cpu_count() or 1)
-    if workers > 1:
-        try:
-            from multiprocessing import Pool
-
-            with Pool(workers) as pool:
-                results = pool.map(_examine, indexed)
-        except OSError:
-            results = None
-    if results is None:
-        results = [_examine(arg) for arg in indexed]
+    # examine_tuple never draws from rng: tuple i is the seed's i-th draw
+    results = [examine_tuple(random_tuple(family, n, dim, rng), i)
+               for i in range(budget)]
     candidates = [rec for _, rec in results if rec is not None]
     return {
         "params": {"n": n, "dim": dim, "family": family,
                    "seed": seed, "budget": budget},
-        "examined": len(indexed),
+        "examined": len(results),
         "counts": {
             "relations_hold": sum(1 for s, _ in results if s["relations_hold"]),
             "noncommuting_pair": sum(1 for s, _ in results if s["noncommuting"]),
             "candidates": len(candidates),
         },
         "candidates": candidates,
-        "budget_exhausted": len(indexed) == budget,
+        "budget_exhausted": len(results) == budget,
     }

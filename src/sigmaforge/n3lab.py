@@ -34,6 +34,9 @@ from .sigma import CommPoly, abelianize, build_sigma, weighted_exponents
 N = 3
 SYMBOL_NAMES = ("s1", "s2", "s3", "c3", "d")
 SYMBOL_WEIGHTS = (1, 2, 3, 6, 3)
+# the default degree bound of reduce_to_S_form and verify_n3_suite; the
+# suite refuses a lower one, since its fixed units run at this degree
+DEGREE_BOUND = 6
 
 
 def c_element() -> Polynomial:
@@ -362,9 +365,11 @@ def clear_caches():
 
 
 def reduce_to_S_form(p: Polynomial, certify=False,
-                     max_degree=6) -> SReduced:
+                     max_degree=None) -> SReduced:
     """Reduce an invariant polynomial; optionally certify the result by
-    exact membership of the difference in the invariance ideal."""
+    exact membership of the difference in the invariance ideal, up to
+    degree ``max_degree`` (default ``DEGREE_BOUND``)."""
+    max_degree = DEGREE_BOUND if max_degree is None else max_degree
     d = p.degree()
     if certify and d is not None and d > max_degree:
         raise ValueError(
@@ -600,7 +605,7 @@ def _check_s_independence(max_degree):
     return out
 
 
-def _check_s_reduction(max_degree):
+def _check_s_reduction():
     gset = commutator_generators(N)
     out = []
     # the worked product: (s2 + c)(s2 - 2c) collapses to a clean triple
@@ -615,8 +620,7 @@ def _check_s_reduction(max_degree):
     out.append(_unit("n3_s_product", N, 4, frozen and certified,
                      {"frozen_form": prod.render(), "matches": frozen,
                       "certified": certified}))
-    bound = min(max_degree, 6)
-    for d in range(1, bound + 1):
+    for d in range(1, DEGREE_BOUND + 1):
         bad = []
         for atom in enumerate_atoms(N, d):
             sr = reduce_orbit(atom)
@@ -629,10 +633,13 @@ def _check_s_reduction(max_degree):
     return out
 
 
-def verify_n3_suite(max_degree=6):
-    """Run every three-letter check; returns a list of report units."""
-    if max_degree < 6:
-        raise ValueError("the suite needs degree bound at least 6")
+def verify_n3_suite(max_degree=None):
+    """Run every three-letter check up to degree ``max_degree`` (default
+    ``DEGREE_BOUND``); returns a list of report units."""
+    max_degree = DEGREE_BOUND if max_degree is None else max_degree
+    if max_degree < DEGREE_BOUND:
+        raise ValueError(
+            f"the suite needs degree bound at least {DEGREE_BOUND}")
     units = []
     units.extend(_check_base_table())
     units.extend(_check_letter_shift())
@@ -644,5 +651,5 @@ def verify_n3_suite(max_degree=6):
     units.extend(_check_d_quadratic())
     units.extend(_check_central_quadratics())
     units.extend(_check_s_independence(max_degree))
-    units.extend(_check_s_reduction(max_degree))
+    units.extend(_check_s_reduction())
     return units

@@ -137,12 +137,12 @@ def render_monomial(m: Monomial) -> str:
 class Terms:
     """Immutable finite map from keys to nonzero rational coefficients.
 
-    The one sparse-terms core under ``Polynomial``, ``sigma.CommPoly``
-    and ``rewrite.AtomExpression``: sums, negation, scalar multiples,
-    powers, equality and hash live here.  A subclass names its key check
-    (``_key``), the key of its constant term (``_unit``) and, when it is
-    a ring, the product of two values' terms (``_product``).  A rational
-    scalar stands for the constant term.
+    The one sparse-terms core under ``Polynomial``, ``sigma.CommPoly``,
+    ``rewrite.AtomExpression`` and ``n3lab.SReduced``: sums, negation,
+    scalar multiples, powers, equality and hash live here.  A subclass
+    names its key check (``_key``), the key of its constant term
+    (``_unit``) and, when it is a ring, the product of two values' terms
+    (``_product``).  A rational scalar stands for the constant term.
     """
 
     __slots__ = ("terms", "arity")

@@ -320,20 +320,12 @@ def test_search_usage_errors(capsys):
     assert "dim >= 2" in err
 
 
-def test_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("SIGMAFORGE_JOBS", "2")
-    args = ("search", "--family", "dense", "--seed", "3", "--budget", "20",
-            "--output", "json")
-    _, first, _ = run(capsys, *args)
-    monkeypatch.setenv("SIGMAFORGE_JOBS", "1")
-    _, second, _ = run(capsys, *args)
-    assert first == second
-
-
-def test_jobs_is_a_search_option_only(capsys):
-    code, _, err = run(capsys, "sigma", "3", "2", "--jobs", "2")
-    assert code == 2
-    assert "--jobs" in err
+def test_jobs_is_not_an_option(capsys):
+    for argv in (("search", "--family", "dense", "--jobs", "2"),
+                 ("sigma", "3", "2", "--jobs", "2")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "--jobs" in err
 
 
 def test_missing_command_is_usage_error(capsys):

@@ -349,50 +349,6 @@ def test_search_is_deterministic():
     assert json.dumps(a) == json.dumps(b)
 
 
-def test_search_jobs_do_not_change_the_report():
-    params = {"n": 3, "dim": 2, "family": "block-triangular",
-              "seed": 0, "budget": 300}
-    assert zero_divisor_search(params) == zero_divisor_search(params, jobs=2)
-
-
-@pytest.mark.parametrize("jobs,budget,cores,want", [
-    (100000, 40, 4, [4]),     # capped by the cores
-    (100000, 3, 8, [3]),      # capped by the tuples
-    (3, 40, 8, [3]),          # as asked
-    (100000, 40, 1, []),      # one core: serial, no pool
-    (100000, 1, 8, []),       # one tuple: serial, no pool
-    (100000, 40, None, []),   # unknown core count counts as one
-])
-def test_search_pool_is_bounded(monkeypatch, jobs, budget, cores, want):
-    """The worker count is min(jobs, budget, cores); a recorder stands in
-    for the pool, so no process is ever started."""
-    import multiprocessing
-
-    started = []
-
-    class Recorder:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return [fn(a) for a in args]
-
-    monkeypatch.setattr(multiprocessing, "Pool", Recorder)
-    monkeypatch.setattr(matmodel.os, "cpu_count", lambda: cores)
-    params = {"n": 3, "dim": 2, "family": "block-triangular",
-              "seed": 0, "budget": budget}
-    got = zero_divisor_search(params, jobs=jobs)
-    assert started == want
-    monkeypatch.undo()
-    assert got == zero_divisor_search(params)
-
-
 C12_UNDER_O = """
 from sigmaforge import matmodel
 t = matmodel.MatrixTuple.from_mats(
