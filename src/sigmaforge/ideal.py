@@ -29,8 +29,11 @@ generating function E = (1 + x_1 y)...(1 + x_n y) = sum s_k y^k, the
 lambda(t) of noncommutative symmetric functions (Gelfand, Krob,
 Lascoux, Leclerc, Retakh and Thibon, Adv. Math. 1995).  A certificate
 is rebuilt exactly in the free ring by ``_rebuilds``, the one integer
-routine that also checks a slice's certificates; ``check_thm_1_1`` and
-``check_factored_coeffs`` fall back to slices only when one fails.
+routine that also checks a slice's certificates, and one that does not
+rebuild raises InternalError.  The factored, root and inverse
+identities are exact free-ring identities over the shift differences
+(and, for the inverse identity, the commutators), so those checks build
+no slice either.
 """
 
 from __future__ import annotations
@@ -114,10 +117,11 @@ def _commutators(n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _differences(n: int) -> dict:
-    """{(k, r): D(k, r)} for D(k, r) = s_k - act(r, s_k), k in 1..n and
-    the nontrivial shifts r in 1..n-1."""
+    """{(k, r): D(k, r)} for D(k, r) = s_k - act(r, s_k), k in 2..n and
+    the nontrivial shifts r in 1..n-1; D(1, r) = 0, as s_1 is fully
+    symmetric."""
     return {(k, r): build_sigma(n, k) - cyclic.act(r, build_sigma(n, k), n)
-            for k in range(1, n + 1) for r in range(1, n)}
+            for k in range(2, n + 1) for r in range(1, n)}
 
 
 @lru_cache(maxsize=None)
@@ -129,20 +133,17 @@ def commutator_generators(n: int) -> GeneratorSet:
 
 @lru_cache(maxsize=None)
 def difference_generators(n: int) -> GeneratorSet:
-    """s_k - s_k^g over all k and all nontrivial shifts; zeros dropped.
-
-    The k=1 differences vanish identically (s_1 is fully symmetric).
-    """
-    return GeneratorSet(DIFFERENCES, n, [
-        g for g in _differences(n).values() if not g.is_zero()])
+    """D(k, r) = s_k - act(r, s_k) for k in 2..n and the nontrivial
+    shifts r."""
+    return GeneratorSet(DIFFERENCES, n, _differences(n).values())
 
 
 def generator_set(name: str, n: int) -> GeneratorSet:
     """The family by name: its own name, or the CLI's ``commutators`` /
-    ``differences``, or the short ``comm`` / ``diff``."""
-    if name in (COMMUTATORS, "comm"):
+    ``differences``."""
+    if name == COMMUTATORS:
         return commutator_generators(n)
-    if name in (DIFFERENCES, "differences", "diff"):
+    if name in (DIFFERENCES, "differences"):
         return difference_generators(n)
     raise ValueError(f"unknown generator set {name!r}")
 
@@ -617,47 +618,39 @@ def _commutator_in_differences(n: int, i: int, m: int) -> list:
     return [t for t in terms if 2 <= t[2][0] <= n and 0 < t[2][1] < n]
 
 
-def _positions(gset: GeneratorSet, values: dict) -> dict:
-    """{name: gi} for each ``values[name]`` that is ``gset.gens[gi]``,
-    None for the rest: a generator is found by its value, never by its
-    position, so a changed family has no certificate."""
-    index = {g: gi for gi, g in enumerate(gset.gens)}
-    return {name: index.get(g) for name, g in values.items()}
+def _rebuild_each(values: dict, form, other: GeneratorSet,
+                  other_values: dict):
+    """Rebuild each ``values[name]`` exactly in the free ring from its
+    closed form ``form(n, *name)``, [(int c, u, name', v)], with
+    ``other_values[name']`` a generator of ``other``; raise
+    InternalError at the first that does not rebuild.  A generator of
+    ``other`` is found by its value, never by its position, so a
+    changed family has no certificate."""
+    index = {g: gi for gi, g in enumerate(other.gens)}
+    for name, g in values.items():
+        combo = [(c, u, index.get(other_values.get(o)), v)
+                 for c, u, o, v in form(other.n, *name)]
+        # the generators are integer, so each is its integerized form
+        if (any(t[2] is None for t in combo)
+                or not _rebuilds(other, combo, g.terms)):
+            raise InternalError(f"the closed form of {name} does not "
+                                f"rebuild in {other.name!r}")
 
 
-def _certified(gset: GeneratorSet, p: Polynomial, form, where: dict) -> bool:
-    """Is sum c*(u*g*v) exactly p, rebuilt in the free ring over the
-    closed form ``form``, [(int c, u, name, v)], with g the generator
-    ``where[name]`` of ``gset``, ``where = _positions(gset, values)``?
-    False when a generator of the form is not in ``gset``."""
-    combo = []
-    for c, u, name, v in form:
-        gi = where.get(name)
-        if gi is None:
-            return False
-        combo.append((c, u, gi, v))
-    # the generators found are integer, so each is its integerized form
-    scale, want = integral(p.terms)
-    return scale == 1 and _rebuilds(gset, combo, want)
+def _certified_differences(n: int) -> dict:
+    """The shift differences ``_differences(n)``, each rebuilt from its
+    closed form in the commutators: every D(k, r) is in I."""
+    diffs = _differences(n)
+    _rebuild_each(diffs, _difference_in_commutators,
+                  commutator_generators(n), _commutators(n))
+    return diffs
 
 
-def _each_in_other(comm: GeneratorSet, diff: GeneratorSet) -> bool:
-    """Does every generator of each family rebuild from its closed form
-    in the other?  Then the two ideals are equal in every degree."""
-    n = comm.n
-    in_comm = _positions(comm, _commutators(n))
-    in_diff = _positions(diff, _differences(n))
-    for gset, where, form, other, other_where in (
-            (diff, in_diff, _difference_in_commutators, comm, in_comm),
-            (comm, in_comm, _commutator_in_differences, diff, in_diff)):
-        names = {gi: name for name, gi in where.items() if gi is not None}
-        if len(names) != len(gset.gens):
-            return False
-        for gi, name in names.items():
-            if not _certified(other, gset.gens[gi], form(n, *name),
-                              other_where):
-                return False
-    return True
+def _identity(check: str, p: Polynomial, form: Polynomial):
+    """Raise InternalError unless p is exactly its closed form."""
+    if p != form:
+        raise InternalError(f"{check}: the closed form failed "
+                            "reconstruction")
 
 
 # -- named verification checks ---------------------------------------
@@ -673,40 +666,28 @@ def check_thm_1_1(n: int, max_degree=None):
     """Commutator generators and shift-difference generators span the
     same slice in every certified degree.
 
-    Both ideals are two-sided and homogeneous, so their slices agree in
-    every degree up to the bound when each generator of either family
-    is in the other family's ideal.  Each is, by a closed form rebuilt
-    in the free ring: D(k, r) = s_k - act(r, s_k) as a sum of
-    u*[x_i, s_m]*v, from the y^k coefficient of E - act(r, E) =
-    A^-1 [A, E] for E = (1 + x_1 y)...(1 + x_n y) = A*B with A the
-    first r factors, and
-
-        [x_i, s_m] = D(m+1, i) - D(m+1, i-1) + x_i*D(m, i) - D(m, i-1)*x_i
-
-    (see ``_difference_in_commutators`` and
-    ``_commutator_in_differences``).  Then only the commutators' slices
-    are built, for their ranks.  When a closed form is missing (a
-    changed family) or fails to rebuild, the canonical rows of the two
-    families' slices are compared degree by degree, each family
-    reporting its own rank.
+    Both ideals are two-sided and homogeneous, so they are equal in
+    every degree when each generator of either family rebuilds from its
+    closed form in the other (``_difference_in_commutators``, read off
+    E - act(r, E) = A^-1 [A, E], and ``_commutator_in_differences``);
+    one that does not raises InternalError.  Only the commutators'
+    slices are built, for the rank both families share.
     """
     bound = default_degree_bound(n) if max_degree is None else max_degree
     if bound < 2:
         raise ValueError(f"thm_1_1 needs degree bound at least 2, "
                          f"got {bound}")
+    _certified_differences(n)
+    _rebuild_each(_commutators(n), _commutator_in_differences,
+                  difference_generators(n), _differences(n))
     comm = commutator_generators(n)
-    diff = difference_generators(n)
-    same = _each_in_other(comm, diff)
     out = []
     for d in range(2, bound + 1):
-        a = degree_slice(comm, d)
-        # when the slices are known equal, one stands for both
-        b = a if same else degree_slice(diff, d)
-        equal = same or a.space == b.space
-        out.append(_unit("thm_1_1", n, d, equal,
-                         {"rank_commutators": a.rank,
-                          "rank_differences": b.rank,
-                          "spans_equal": equal}))
+        rank = degree_slice(comm, d).rank
+        out.append(_unit("thm_1_1", n, d, True,
+                         {"rank_commutators": rank,
+                          "rank_differences": rank,
+                          "spans_equal": True}))
     return out
 
 
@@ -807,44 +788,62 @@ def check_cor_1_6_dim(n: int, max_degree=None):
     return out
 
 
+def _root_form(n: int, i: int, diffs: dict) -> Polynomial:
+    """sum_k (-1)^k D(k, i mod n)*x_i^(n-k), which is char_poly_image(n,
+    i): the order rotated by i ends in x_i, so the product of (y - x_j)
+    over it is P(y)*(y - x_i), and sum_k (-1)^k act(i, s_k)*x_i^(n-k),
+    its coefficients with x_i put for y on the right, vanishes."""
+    xi = Polynomial.variable(i, n)
+    total = zero = Polynomial.zero(n)
+    for k in range(2, n + 1):
+        total = total + (diffs.get((k, i % n), zero) * xi ** (n - k)
+                         * (-1) ** k)
+    return total
+
+
 def check_root_identity(n: int, max_degree=None):
-    gset = commutator_generators(n)
+    """Each char_poly_image(n, i) is in I: it is exactly ``_root_form``,
+    a combination of shift differences."""
+    diffs = _certified_differences(n)
     out = []
     for i in range(1, n + 1):
-        ok = member(char_poly_image(n, i), gset).member
-        out.append(_unit("root_identity", n, n, ok, {"root_index": i}))
+        _identity("root_identity", char_poly_image(n, i),
+                  _root_form(n, i, diffs))
+        out.append(_unit("root_identity", n, n, True, {"root_index": i}))
     return out
 
 
 def check_factored_coeffs(n: int, max_degree=None):
     """The y^(n-k) coefficient of the product of (y - x_j) over the
     order rotated by r is (-1)^k act(r, s_k), so it differs from
-    (-1)^k s_k by (-1)^(k+1) D(k, r), D(k, r) = s_k - act(r, s_k).
-    Each difference is certified in the commutator ideal by the closed
-    form of ``_difference_in_commutators``, rebuilt in the free ring;
-    ``member`` decides only one whose closed form fails to rebuild."""
-    gset = commutator_generators(n)
-    where = _positions(gset, _commutators(n))
+    (-1)^k s_k by exactly (-1)^(k+1) D(k, r), D(k, r) = s_k - act(r,
+    s_k), a shift difference."""
+    diffs = _certified_differences(n)
+    zero = Polynomial.zero(n)
     out = []
     for r in range(n):
-        bad = []
         for k, diff in factored_char_coefficients(n, r).items():
-            form = [((-1) ** (k + 1) * c, u, name, v)
-                    for c, u, name, v in _difference_in_commutators(n, k, r)]
-            if (not _certified(gset, diff, form, where)
-                    and not member(diff, gset).member):
-                bad.append(k)
-        out.append(_unit("factored_coeffs", n, n, not bad,
-                         {"rotation": r, "failed_k": bad}))
+            _identity("factored_coeffs", diff,
+                      diffs.get((k, r), zero) * (-1) ** (k + 1))
+        out.append(_unit("factored_coeffs", n, n, True,
+                         {"rotation": r, "failed_k": []}))
     return out
 
 
 def check_inverse_identity(n: int, max_degree=None):
-    gset = commutator_generators(n)
+    """Each inverse_identity_image(n, i) is in I: it is char_poly_image(n,
+    i) plus sum_{k=1..n-1} (-1)^k [x_i, s_k]*x_i^(n-1-k), since x_i*s_k
+    = s_k*x_i + [x_i, s_k]."""
+    diffs = _certified_differences(n)
+    comms = _commutators(n)
     out = []
     for i in range(1, n + 1):
-        ok = member(inverse_identity_image(n, i), gset).member
-        out.append(_unit("inverse_identity", n, n, ok, {"index": i}))
+        xi = Polynomial.variable(i, n)
+        form = _root_form(n, i, diffs)
+        for k in range(1, n):
+            form = form + comms[i, k] * xi ** (n - 1 - k) * (-1) ** k
+        _identity("inverse_identity", inverse_identity_image(n, i), form)
+        out.append(_unit("inverse_identity", n, n, True, {"index": i}))
     return out
 
 

@@ -136,7 +136,7 @@ def test_06_quadratic_quotient_and_roundtrip():
 def test_07_root_factorization_inverse_identities():
     with criterion(7, "root, factorization and inverse identities", 60.0):
         for name in ("root_identity", "factored_coeffs", "inverse_identity"):
-            for n in (3, 4):
+            for n in (3, 4, 5, 6):
                 units = ideal.run_check(name, n)
                 assert units, name
                 assert all(u["status"] == "pass" for u in units)

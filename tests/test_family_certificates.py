@@ -1,15 +1,17 @@
-"""Each generator family in closed form in terms of the other.
+"""Each generator family in closed form in terms of the other, and the
+characteristic identities read off the shift differences.
 
 ``ideal._difference_in_commutators(n, k, r)`` writes the shift
 difference D(k, r) = s_k - act(r, s_k) as a sum of u*[x_i, s_m]*v, and
 ``ideal._commutator_in_differences(n, i, m)`` writes [x_i, s_m] with
 four differences.  The tests rebuild every certificate with
-``Polynomial`` products, apart from the module's own integer check, and
-pin the fallbacks of thm_1_1 and factored_coeffs when a closed form is
-corrupted.
+``Polynomial`` products, apart from the module's own integer check,
+hold the factored, root and inverse identities against slice
+membership, and pin that a corrupted closed form or a changed family is
+an internal error of every check that rests on it, also through the CLI
+under ``python -O``.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -18,39 +20,43 @@ from pathlib import Path
 
 import pytest
 
-from sigmaforge import ideal
+from sigmaforge import cyclic, ideal
 from sigmaforge.ideal import (commutator_generators, difference_generators,
-                              run_check)
-from sigmaforge.ring import Polynomial
+                              member, run_check)
+from sigmaforge.ring import InternalError, Polynomial, commutator
+from sigmaforge.sigma import (build_sigma, char_poly_image,
+                              factored_char_coefficients,
+                              inverse_identity_image)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SLOW_7 = pytest.param(7, marks=pytest.mark.slow)
+#: the checks that are exact free-ring identities over the differences
+IDENTITY_CHECKS = ("factored_coeffs", "root_identity", "inverse_identity")
+#: the checks that rest on the closed forms
+CLOSED_FORM_CHECKS = ("thm_1_1",) + IDENTITY_CHECKS
 
 
-def rebuild(form, where, gset):
-    """sum c*(u*g*v) over the closed form ``form``, g the generator
-    ``where[name]`` of ``gset``, multiplied as ``Polynomial``."""
+def rebuild(form, values, gset):
+    """sum c*(u*g*v) over the closed form ``form``, g = values[name] a
+    generator of ``gset``, multiplied as ``Polynomial``."""
     n = gset.n
     total = Polynomial.zero(n)
     for c, u, name, v in form:
-        total = total + (Polynomial.from_monomial(u, n)
-                         * gset.gens[where[name]]
+        g = values[name]
+        assert g in gset.gens, name
+        total = total + (Polynomial.from_monomial(u, n) * g
                          * Polynomial.from_monomial(v, n)) * c
     return total
 
 
 def assert_each_rebuilds(n, values, form, other, other_values):
-    """Every nonzero ``values[name]`` rebuilds from ``form(n, *name)``
-    in the family ``other``, named by ``other_values``."""
-    where = ideal._positions(other, other_values)
-    count = 0
+    """Every ``values[name]`` rebuilds from ``form(n, *name)`` in the
+    family ``other``, named by ``other_values``, both in the module's
+    integer check and as ``Polynomial`` products."""
+    ideal._rebuild_each(values, form, other, other_values)
     for name, g in values.items():
-        if g.is_zero():
-            continue
-        assert ideal._certified(other, g, form(n, *name), where), name
-        assert rebuild(form(n, *name), where, other) == g, name
-        count += 1
-    return count
+        assert rebuild(form(n, *name), other_values, other) == g, name
+    return len(values)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, SLOW_7])
@@ -85,23 +91,69 @@ def test_closed_forms_stay_short():
             assert sum(sizes) == total
 
 
-def test_missing_generator_has_no_certificate():
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_characteristic_identities_hold_in_the_free_ring(n):
+    """With D(k, r) = s_k - act(r, s_k) built here from ``build_sigma``
+    and ``cyclic.act``: factored difference (r, k) = (-1)^(k+1) D(k, r);
+    char_poly_image(n, i) = sum_k (-1)^k D(k, i)*x_i^(n-k); and
+    inverse_identity_image(n, i) is that plus sum_{k=1..n-1} (-1)^k
+    [x_i, s_k]*x_i^(n-1-k).  The checks read their units off the same
+    identities."""
+    def shift_difference(k, r):
+        s = build_sigma(n, k)
+        return s - cyclic.act(r, s, n)
+
+    zero = Polynomial.zero(n)
+    for r in range(n):
+        for k, diff in factored_char_coefficients(n, r).items():
+            assert diff == shift_difference(k, r) * (-1) ** (k + 1), (r, k)
+    for i in range(1, n + 1):
+        xi = Polynomial.variable(i, n)
+        root = sum((shift_difference(k, i) * xi ** (n - k) * (-1) ** k
+                    for k in range(n + 1)), zero)
+        assert char_poly_image(n, i) == root, i
+        inverse = root + sum(
+            (commutator(xi, build_sigma(n, k)) * xi ** (n - 1 - k)
+             * (-1) ** k for k in range(1, n)), zero)
+        assert inverse_identity_image(n, i) == inverse, i
+    for check in IDENTITY_CHECKS:
+        units = run_check(check, n)
+        assert len(units) == n
+        assert all(u["status"] == "pass" for u in units)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_slice_membership_accepts_the_characteristic_identities(n):
+    """The second route: the degree-n slice of the commutator ideal
+    holds every root and inverse image and every factored difference."""
+    comm = commutator_generators(n)
+    for i in range(1, n + 1):
+        assert member(char_poly_image(n, i), comm).member, i
+        assert member(inverse_identity_image(n, i), comm).member, i
+    for r in range(n):
+        for k, diff in factored_char_coefficients(n, r).items():
+            assert member(diff, comm).member, (r, k)
+    ideal.clear_caches()
+
+
+def test_missing_generator_has_no_certificate(monkeypatch):
+    """With the first commutator [x_1, s_1] dropped from the family, the
+    closed form of D(2, 1) names a generator the family does not have,
+    so every check that rests on the closed forms raises InternalError
+    before it builds a slice."""
     n = 4
     comm = commutator_generators(n)
     dropped = ideal.GeneratorSet("dropped", n, comm.gens[1:])
-    where = ideal._positions(dropped, ideal._commutators(n))
-    name = next(name for name, gi in ideal._positions(
-        comm, ideal._commutators(n)).items() if gi == 0)
-    assert where[name] is None
-    uses = [(k, r) for k in range(2, n + 1) for r in range(1, n)
-            if any(t[2] == name
-                   for t in ideal._difference_in_commutators(n, k, r))]
-    assert uses
-    for k, r in uses:
-        g = ideal._differences(n)[k, r]
-        assert not ideal._certified(
-            dropped, g, ideal._difference_in_commutators(n, k, r), where)
-    assert not ideal._each_in_other(dropped, difference_generators(n))
+    assert any(t[2] == (1, 1)
+               for t in ideal._difference_in_commutators(n, 2, 1))
+    ideal.clear_caches()
+    with monkeypatch.context() as m:
+        m.setattr(ideal, "commutator_generators", lambda _: dropped)
+        for check in CLOSED_FORM_CHECKS:
+            with pytest.raises(InternalError,
+                               match="does not rebuild in 'dropped'"):
+                run_check(check, n)
+    assert not ideal._slice_cache
 
 
 def flipped(form):
@@ -117,48 +169,36 @@ def flipped(form):
 
 @pytest.mark.parametrize("name", ["_difference_in_commutators",
                                   "_commutator_in_differences"])
-def test_flipped_sign_is_refused_and_checks_fall_back(monkeypatch, name):
+def test_flipped_sign_raises_internal_error(monkeypatch, name):
+    """A flipped sign in a closed form is an internal error of every
+    check that rebuilds it, with no second route tried: no member call
+    and no slice.  The differences' closed form carries all four checks;
+    the commutators' closed form only thm_1_1, so the other three still
+    pass."""
     n = 4
-    ideal.clear_caches()
-    want = {check: json.dumps(run_check(check, n))
-            for check in ("factored_coeffs", "thm_1_1")}
-    ideal.clear_caches()
+    uses = (CLOSED_FORM_CHECKS if name == "_difference_in_commutators"
+            else ("thm_1_1",))
     calls = []
-    member = ideal.member
-
-    def counted(p, gset, certify=False):
-        calls.append(p.degree())
-        return member(p, gset, certify)
-
     monkeypatch.setattr(ideal, name, flipped(getattr(ideal, name)))
-    monkeypatch.setattr(ideal, "member", counted)
-    comm, diff = commutator_generators(n), difference_generators(n)
-    assert not ideal._each_in_other(comm, diff)
-    assert json.dumps(run_check("thm_1_1", n)) == want["thm_1_1"]
-    # the fallback compared the two families' slices degree by degree
-    assert all((gset.cache_key(), d) in ideal._slice_cache
-               for gset in (comm, diff)
-               for d in range(2, ideal.default_degree_bound(n) + 1))
-    assert calls == []
-    assert json.dumps(run_check("factored_coeffs", n)) == want[
-        "factored_coeffs"]
-    if name == "_difference_in_commutators":
-        # each nonzero difference, D(k, r) for k = 2..4 and r = 1..3,
-        # went to member
-        assert sorted(calls) == [2, 2, 2, 3, 3, 3, 4, 4, 4]
-    else:
-        assert calls == []
+    monkeypatch.setattr(ideal, "member", lambda *a, **k: calls.append(a))
     ideal.clear_caches()
+    for check in uses:
+        with pytest.raises(InternalError, match="does not rebuild"):
+            run_check(check, n)
+    assert not ideal._slice_cache
+    for check in CLOSED_FORM_CHECKS:
+        if check not in uses:
+            assert all(u["status"] == "pass" for u in run_check(check, n))
+    assert calls == []
 
 
-def test_flipped_sign_is_refused_under_optimize():
-    script = textwrap.dedent("""
-        import json
-        import sys
-        from sigmaforge import ideal
+FAULTY_CLI = textwrap.dedent("""
+    import sys
+    from sigmaforge import cli, ideal
 
-        print("optimize", sys.flags.optimize)
-        want = json.dumps(ideal.run_check("factored_coeffs", 4))
+    if __debug__:
+        sys.exit(3)
+    if sys.argv.pop(1) == "flipped":
         form = ideal._difference_in_commutators
 
         def flipped(n, k, r):
@@ -169,39 +209,44 @@ def test_flipped_sign_is_refused_under_optimize():
             return out
 
         ideal._difference_in_commutators = flipped
+    else:
         comm = ideal.commutator_generators(4)
-        where = ideal._positions(comm, ideal._commutators(4))
-        g = ideal._differences(4)[3, 1]
-        if not ideal._certified(comm, g, flipped(4, 3, 1), where):
-            print("refused")
-        if not ideal._each_in_other(comm, ideal.difference_generators(4)):
-            print("thm_1_1 refused")
-        ideal.clear_caches()
-        if json.dumps(ideal.run_check("factored_coeffs", 4)) == want:
-            print("same units")
-    """)
+        dropped = ideal.GeneratorSet("dropped", 4, comm.gens[1:])
+        ideal.commutator_generators = lambda n: dropped
+    sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+def test_flipped_sign_is_refused_under_optimize():
+    """Under ``python -O``, a flipped sign in the differences' closed
+    form, or a commutator dropped from the family, makes ``sigmaforge
+    verify <check> --n 4`` exit 1 with ``internal error:`` on stderr and
+    nothing on stdout, for each check that rests on the closed forms."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == [
-        "optimize 1", "refused", "thm_1_1 refused", "same units", ""]
+    for fault in ("flipped", "dropped"):
+        for check in CLOSED_FORM_CHECKS:
+            proc = subprocess.run(
+                [sys.executable, "-O", "-c", FAULTY_CLI, fault, "verify",
+                 check, "--n", "4"],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stdout) == (1, ""), (
+                fault, check, proc.stderr)
+            assert proc.stderr.startswith("internal error: "), proc.stderr
 
 
 def test_default_jobs_build_no_slice_of_the_other_family(monkeypatch):
-    """factored_coeffs at n=5 and n=6 calls member 0 times and builds no
-    slice; thm_1_1 builds no slice of the differences."""
+    """factored_coeffs, root_identity and inverse_identity at n=5 and
+    n=6 call member 0 times and build no slice; thm_1_1 builds no slice
+    of the differences."""
     calls = []
-    member = ideal.member
-    monkeypatch.setattr(ideal, "member",
-                        lambda *a, **k: calls.append(a) or member(*a, **k))
-    for n in (5, 6):
-        ideal.clear_caches()
-        units = run_check("factored_coeffs", n)
-        assert len(units) == n
-        assert all(u["status"] == "pass" for u in units)
-        assert not ideal._slice_cache
-    assert calls == []
+    monkeypatch.setattr(ideal, "member", lambda *a, **k: calls.append(a))
+    for check in IDENTITY_CHECKS:
+        for n in (5, 6):
+            ideal.clear_caches()
+            units = run_check(check, n)
+            assert len(units) == n
+            assert all(u["status"] == "pass" for u in units)
+            assert not ideal._slice_cache
     for n in sorted(ideal.DEFAULT_DEGREE_BOUND):
         ideal.clear_caches()
         units = run_check("thm_1_1", n)
@@ -209,4 +254,5 @@ def test_default_jobs_build_no_slice_of_the_other_family(monkeypatch):
         key = commutator_generators(n).cache_key()
         assert sorted(ideal._slice_cache) == [
             (key, d) for d in range(2, ideal.default_degree_bound(n) + 1)]
+    assert calls == []
     ideal.clear_caches()

@@ -19,6 +19,7 @@ from sigmaforge.ideal import (
     spans_equal,
 )
 from sigmaforge.ring import (
+    InternalError,
     Polynomial,
     basis_words,
     parse_poly,
@@ -307,28 +308,21 @@ def test_thm_1_1_by_generators_matches_slice_by_slice(n):
 
 
 @pytest.mark.parametrize("n,bound", [(3, 5), (4, 4)])
-def test_thm_1_1_falls_back_to_slice_by_slice(monkeypatch, n, bound):
-    """With one shift difference dropped, thm_1_1 gives the units of the
-    direct comparison: each family's own rank, and spans_equal false
-    where the spans differ."""
-    comm = commutator_generators(n)
+def test_thm_1_1_with_a_dropped_difference_raises(monkeypatch, n, bound):
+    """With any one shift difference dropped, the commutator whose
+    closed form names it has no certificate: thm_1_1 raises
+    InternalError before it builds a slice, and compares no spans."""
     full = difference_generators(n)
-    failed = False
+    ideal.clear_caches()
     for drop in range(len(full.gens)):
         diff = ideal.GeneratorSet(
             "dropped", n, full.gens[:drop] + full.gens[drop + 1:])
         with monkeypatch.context() as m:
             m.setattr(ideal, "difference_generators", lambda _: diff)
-            units = run_check("thm_1_1", n, max_degree=bound)
-        assert units == slice_by_slice(n, bound, comm, diff)
-        for u in units:
-            w = u["witness"]
-            if not w["spans_equal"]:
-                failed = True
-                assert u["status"] == "fail"
-                assert w["rank_differences"] < w["rank_commutators"]
-    assert failed
-    ideal.clear_caches()
+            with pytest.raises(InternalError,
+                               match="does not rebuild in 'dropped'"):
+                run_check("thm_1_1", n, max_degree=bound)
+        assert not ideal._slice_cache
 
 
 def test_run_check_rejects_small_n():
@@ -373,9 +367,8 @@ def test_slices_finish_only_the_rows_their_queries_touch():
     """A slice back-substitutes a stored row only when a reduction uses
     it or its canonical rows are compared: the four degree-5 member
     queries of the factored coefficients at n=5 (k=5, r=1..4) touch few
-    rows, and thm_1_1, which compares no span when the families certify
-    each other in closed form, leaves rows of its top commutator slice
-    unfinished and builds no difference slice."""
+    rows, and thm_1_1, which compares no span, leaves rows of its top
+    commutator slice unfinished and builds no difference slice."""
     ideal.clear_caches()
     comm = commutator_generators(5)
     for r in range(1, 5):
