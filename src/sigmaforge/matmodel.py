@@ -17,17 +17,18 @@ for the sums over index words of eval_sigma_matrices, the definition
 kept as the reference.
 
 All arithmetic is exact: entries are ints or Fractions, singularity is
-decided by exact rank.
+decided by exact rank. mat_rank is fraction-free (Bareiss) elimination
+of its own, so no verdict of this module goes through linalg.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .linalg import RowSpace
 from .ring import integral
 
 FAMILIES = ("commuting", "conj-cyclic", "block-triangular", "dense")
@@ -53,8 +54,11 @@ def mat_sub(a, b):
 
 
 def mat_mul(a, b):
+    """The product ab; each entry sums its products left to right, as
+    sum(x * y for x, y in zip(row, col)) would, with the loop in C."""
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+    mul = operator.mul
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols)
                  for row in a)
 
 
@@ -67,10 +71,29 @@ def is_zero_matrix(m) -> bool:
 
 
 def mat_rank(m) -> int:
-    """Rank over the rationals: rows cleared of denominators, then exact
-    integer elimination."""
-    rows = [integral({c: x for c, x in enumerate(row) if x})[1] for row in m]
-    return RowSpace(rows, len(m[0]) if m else 0).rank
+    """Rank over the rationals: each row cleared of denominators, then
+    fraction-free (Bareiss) elimination on the integers.
+
+    After a pivot p, every later row r becomes
+    (p[c] * r - r[c] * p) / prev with prev the pivot before p, and the
+    division is exact (Bareiss 1968), so entries stay integers bounded
+    by minors of the input. A column with no pivot is skipped.
+    """
+    rows = [list(integral(dict(enumerate(row)))[1].values()) for row in m]
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            r = rows[i]
+            rows[i] = [0] * (c + 1) + [(p[c] * x - r[c] * y) // prev
+                                       for x, y in zip(r[c + 1:], p[c + 1:])]
+        prev = p[c]
+        rank += 1
+    return rank
 
 
 class MatrixTuple(namedtuple("MatrixTuple", "n dim mats")):

@@ -546,7 +546,7 @@ def _check_central_quadratics():
     for w in sl2.basis:
         p = Polynomial.from_monomial(w, N)
         blocks.append([sl3.reduce(_x(i) * p - p * _x(i)) for i in (1, 2, 3)])
-    scale = math.lcm(*(r.scale * r.alpha for bl in blocks for r in bl))
+    scale = math.lcm(*[r.scale * r.alpha for bl in blocks for r in bl])
     rows = []
     for bl in blocks:
         row = {}

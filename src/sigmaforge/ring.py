@@ -120,7 +120,9 @@ ONE = Monomial()
 def integral(terms: dict) -> tuple:
     """(den, {key: int}) with den*terms integer: den > 0 is the least
     common denominator of the rational values of ``terms``."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
+    # a list, not a generator: unpacking a generator into a call leaves
+    # one tuple per call on CPython's tuple free lists
+    den = math.lcm(*[c.denominator for c in terms.values()])
     return den, {k: c.numerator * (den // c.denominator)
                  for k, c in terms.items()}
 

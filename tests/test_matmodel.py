@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from sigmaforge import matmodel
+from sigmaforge.linalg import RowSpace
 from sigmaforge.matmodel import (
     FAMILIES,
     MatrixTuple,
@@ -30,6 +31,7 @@ from sigmaforge.matmodel import (
     random_tuple,
     zero_divisor_search,
 )
+from sigmaforge.ring import integral
 
 # relations hold, no pair commutes, dim 2: frozen from a brute-force scan
 CANDIDATE = MatrixTuple.from_mats((
@@ -264,6 +266,169 @@ def test_mat_rank_matches_fraction_elimination():
         ranks.add((nrows, ncols, expected))
     assert any(r < min(nr, nc) for nr, nc, r in ranks)
     assert any(nr != nc for nr, nc, _ in ranks)
+
+
+def _rowspace_rank(m):
+    """Reference rank: linalg's echelon form on the cleared rows, the
+    route mat_rank took before it had its own elimination."""
+    rows = [integral({c: x for c, x in enumerate(row) if x})[1] for row in m]
+    return RowSpace(rows, len(m[0])).rank
+
+
+def test_mat_rank_matches_rowspace():
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(600):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rational = rng.random() < 0.5
+        m = []
+        for _ in range(nrows):
+            if len(m) >= 2 and rng.random() < 0.3:
+                a, b = rng.sample(m, 2)
+                f = (Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                     if rational else rng.randint(-3, 3))
+                row = [x + f * y for x, y in zip(a, b)]
+            elif rational:
+                row = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                       for _ in range(ncols)]
+            else:
+                row = [rng.randint(-5, 5) for _ in range(ncols)]
+            m.append(tuple(row))
+        rank = mat_rank(tuple(m))
+        assert rank == _rowspace_rank(m), m
+        seen.add((rational, rank < min(nrows, ncols)))
+    assert seen == {(r, d) for r in (True, False) for d in (True, False)}
+
+
+MATMODEL_IMPORTS = """
+import sys
+import sigmaforge.matmodel
+print("sigmaforge.linalg" in sys.modules)
+"""
+
+
+def test_matmodel_does_not_import_linalg():
+    """The matrix route shares no code with linalg's elimination."""
+    src = str(Path(matmodel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", MATMODEL_IMPORTS],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
+
+
+def _triple_loop_product(a, b):
+    rows = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            total = 0
+            for k in range(len(b)):
+                total = total + a[i][k] * b[k][j]
+            row.append(total)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_mat_mul_matches_triple_loop_in_value_and_type():
+    rng = random.Random(53)
+    kinds = set()
+    for _ in range(300):
+        p, q, r = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        entries = [lambda: rng.randint(-4, 4),
+                   lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))]
+        fa, fb = rng.choice(entries), rng.choice(entries)
+        a = tuple(tuple(fa() for _ in range(q)) for _ in range(p))
+        b = tuple(tuple(fb() for _ in range(r)) for _ in range(q))
+        got, want = mat_mul(a, b), _triple_loop_product(a, b)
+        assert got == want
+        got_types = [type(x) for row in got for x in row]
+        assert got_types == [type(x) for row in want for x in row]
+        assert all(type(row) is tuple for row in got) and type(got) is tuple
+        kinds.update(got_types)
+    assert kinds == {int, Fraction}
+
+
+def _examine_exhaustively(t, index):
+    """examine_tuple with triple-loop products and ranks by Fraction
+    elimination; the reference for the product kernel and mat_rank."""
+    invariant, commuting = check_c12(t)
+    comms = {}
+    for i, j in itertools.combinations(range(t.n), 2):
+        a, b = t.mats[i], t.mats[j]
+        c = tuple(tuple(x - y for x, y in zip(ra, rb))
+                  for ra, rb in zip(_triple_loop_product(a, b),
+                                    _triple_loop_product(b, a)))
+        if any(x for row in c for x in row):
+            comms[(i + 1, j + 1)] = c
+    summary = {"relations_hold": invariant and commuting,
+               "noncommuting": bool(comms)}
+    if not (summary["relations_hold"] and comms):
+        return summary, None
+    products = []
+    for left, right in itertools.product(comms, repeat=2):
+        prod = _triple_loop_product(comms[left], comms[right])
+        zero = not any(x for row in prod for x in row)
+        rank = _fraction_rank(prod)
+        products.append({"left": list(left), "right": list(right),
+                         "zero": zero, "rank": rank,
+                         "singular": rank < t.dim})
+    return summary, {
+        "index": index,
+        "mats": [[[str(x) for x in row] for row in m] for m in t.mats],
+        "noncommuting_pairs": [list(p) for p in comms],
+        "products": products,
+        "zero_products": sum(p["zero"] for p in products),
+        "singular_products": sum(p["singular"] for p in products),
+    }
+
+
+def test_examine_tuple_matches_exhaustive_scan():
+    rng = random.Random(59)
+    cases = [(random_tuple(rng.choice(FAMILIES), rng.randint(3, 4),
+                           rng.randint(2, 4), rng), i) for i in range(2000)]
+    # the search's candidate at seed 0, dim 2, index 464 (README)
+    block_rng = random.Random(0)
+    drawn = [random_tuple("block-triangular", 3, 2, block_rng)
+             for _ in range(465)]
+    cases += [(drawn[464], 464), (CANDIDATE, 7)]
+    seen = set()
+    for t, i in cases:
+        got, want = examine_tuple(t, i), _examine_exhaustively(t, i)
+        assert got == want and json.dumps(got) == json.dumps(want), (t, i)
+        seen.add((t.n, t.dim, got[0]["relations_hold"],
+                  got[0]["noncommuting"], got[1] is not None))
+    assert {(n, d) for n, d, *_ in seen} == {
+        (n, d) for n in (3, 4) for d in (2, 3, 4)}
+    assert {v[2:] for v in seen} == {
+        (True, False, False), (True, True, True), (False, True, False)}
+    assert examine_tuple(drawn[464], 464)[1]["index"] == 464
+
+
+def test_examine_tuple_product_count(monkeypatch):
+    """A non-invariant dense n=4 tuple whose first pair does not
+    commute: check_c12 stops at the first rotation and the first failed
+    comparison, and the scan then makes one commutator, 2 products, for
+    each of the 6 pairs, since every nonzero one goes in the summary."""
+    t = MatrixTuple.from_mats((
+        ((1, 2), (0, 1)), ((1, 0), (3, 1)),
+        ((2, -1), (1, 0)), ((0, 1), (-2, 3))))
+    calls = []
+    mul = matmodel.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(matmodel, "mat_mul", counted)
+    assert check_c12(t) == (False, False)
+    c12 = len(calls)
+    calls.clear()
+    assert examine_tuple(t) == (
+        {"relations_hold": False, "noncommuting": True}, None)
+    assert len(calls) == c12 + 2 * 6
+    # sigmas of the tuple and of its first rotation, 6 each; the first
+    # sigma_1 . M_1 comparison already fails
+    assert c12 == 6 + 6 + 2
 
 
 def test_commutator_of_commuting_is_zero():

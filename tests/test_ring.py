@@ -1,8 +1,11 @@
+import ast
+import gc
 import hashlib
 import inspect
 import itertools
 import pickle
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,8 +17,9 @@ from sigmaforge.matmodel import MatrixTuple
 from sigmaforge.n3lab import reduce_orbit
 from sigmaforge.rewrite import AtomExpression, rewrite_invariant
 from sigmaforge.ring import (
-    ONE, Monomial, Polynomial, basis_words, commutator, parse_monomial,
-    parse_poly, render_monomial, render_poly, variable_commutator,
+    ONE, Monomial, Polynomial, basis_words, commutator, integral,
+    parse_monomial, parse_poly, render_monomial, render_poly,
+    variable_commutator,
 )
 from sigmaforge.sigma import CommPoly
 
@@ -334,3 +338,41 @@ def test_each_job_has_one_home():
     assert "_Record" not in (src / "ideal.py").read_text()
     t = MatrixTuple(1, 1, (((1,),),))
     assert isinstance(t, tuple) and not hasattr(t, "__dict__")
+
+
+def test_integral_keeps_no_block_per_call():
+    """Unpacking a generator into a call leaves one tuple per call on
+    CPython's per-size tuple free lists, up to about 2000 per argument
+    count; integral unpacks a list and keeps none.  A full collection
+    empties those free lists, so none may run while counting."""
+    rng = random.Random(3)
+    maps = [{k: Fraction(rng.randint(1, 9), rng.randint(1, 12))
+             for k in range(rng.randint(11, 19))} for _ in range(3000)]
+    for m in maps[:20]:
+        integral(m)
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for m in maps:
+            integral(m)
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown <= 100
+
+
+def test_no_call_unpacks_a_generator():
+    """``f(*(x for x in xs))`` keeps a memory block per call (see
+    test_integral_keeps_no_block_per_call); unpack a list instead."""
+    src = Path(__file__).resolve().parents[1] / "src" / "sigmaforge"
+    paths = sorted(src.glob("*.py"))
+    assert len(paths) > 5
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                found += [(path.name, arg.lineno) for arg in node.args
+                          if isinstance(arg, ast.Starred)
+                          and isinstance(arg.value, ast.GeneratorExp)]
+    assert found == []
