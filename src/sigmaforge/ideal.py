@@ -322,6 +322,20 @@ class DegreeSlice:
         return Polynomial._trusted(
             {basis[j]: Fraction(x, g) for j, x in row.items()}, self.n)
 
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        """p modulo the slice, exactly: the reduction's row over
+        scale*alpha, on the basis words, with int coefficients when
+        scale*alpha is 1.  The row has no entry in any pivot column, so
+        the normal form is canonical: two polynomials of this degree
+        have equal normal forms exactly when their difference is in the
+        slice."""
+        reduced = self.reduce(p)
+        den = reduced.scale * reduced.alpha
+        basis = self.basis
+        return Polynomial._trusted(
+            {basis[j]: x if den == 1 else Fraction(x, den)
+             for j, x in reduced.row.items()}, self.n)
+
     def certificate_for(self, p: Polynomial, reduced: _Reduction):
         """Explicit combination [(c, u, gi, v)] with sum c*(u*g*v) = p,
         where g = gens[gi], from its recorded reduction ``reduced =

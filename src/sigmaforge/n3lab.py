@@ -8,11 +8,17 @@ three elementary sums, the central cube, and the orbit sum of the
 degree-3 alternating atom, held by ``SReduced`` on ``ring.Terms``.
 The reduction runs off a seven-entry table of low-degree orbit sums,
 six prefix rules for higher atoms and a split of every other orbit sum
-off its first atom, and every derived identity can be certified in the
-free ring by exact ideal membership.  Every orbit sum's form is
-integral, so each is computed and cached once with int coefficients;
-rationals enter only in ``reduce_invariant``, which sums the orbits'
-forms over a common denominator and divides each term once.
+off its first atom, and every derived identity can be certified by
+exact ideal membership.  Every orbit sum's form is integral, so each is
+computed and cached once with int coefficients; rationals enter only in
+``reduce_invariant``, which sums the orbits' forms over a common
+denominator and divides each term once.
+
+A form is certified on normal forms modulo the ideal, never by
+expanding it in the free ring: each symbol monomial's normal form is
+cached, and built from its prefix's normal form times one symbol, so a
+product has at most (quotient dim) x 8 terms where the expansion of
+s1^6 alone has 729.
 """
 
 from __future__ import annotations
@@ -215,15 +221,21 @@ class SReduced(Terms):
 
 @lru_cache(maxsize=None)
 def _symbol_polys():
-    """The free-ring values of s1, s2, s3, c3, d and c."""
+    """The free-ring values of s1, s2, s3, c3, d and c, with int
+    coefficients, so that products with the integral normal forms of
+    ``_key_normal_form`` stay in int arithmetic."""
     c = c_element()
-    return (build_sigma(N, 1), build_sigma(N, 2), build_sigma(N, 3),
-            c * c * c, extra_symbol_poly(), c)
+    return tuple(
+        Polynomial._trusted(_integral(p.terms, "a symbol"), N)
+        for p in (build_sigma(N, 1), build_sigma(N, 2), build_sigma(N, 3),
+                  c * c * c, extra_symbol_poly(), c))
 
 
 def expand_to_ring(sr: SReduced) -> Polynomial:
     """Evaluate a canonical form in the free ring, factors in the fixed
-    order s1, s2, s3, c3, d, c."""
+    order s1, s2, s3, c3, d, c.  Certification never expands a form
+    (see ``_certifies``); this is the tests' reference route, which
+    ``member`` checks against the normal forms."""
     syms = _symbol_polys()
     total = Polynomial.zero(N)
     for key, coeff in sorted(sr.terms.items()):
@@ -233,6 +245,57 @@ def expand_to_ring(sr: SReduced) -> Polynomial:
                 prod = prod * sym
         total = total + prod
     return total
+
+
+_KEY_WEIGHTS = SYMBOL_WEIGHTS + (2,)  # of an SReduced key's exponents
+_NF_CACHE = {}  # SReduced key -> normal form of its symbol monomial
+
+
+def _key_weight(key) -> int:
+    return sum(w * e for w, e in zip(_KEY_WEIGHTS, key))
+
+
+def _key_normal_form(key) -> Polynomial:
+    """The normal form modulo the ideal of the symbol monomial named by
+    an ``SReduced`` key, factors in the fixed order s1, s2, s3, c3, d,
+    c: the normal form of its prefix's normal form times its last
+    factor's free-ring value, cached.  The ideal is two-sided, so p = r
+    modulo I gives p*s = r*s modulo I, and no product has more than
+    (quotient dim) x 8 terms."""
+    got = _NF_CACHE.get(key)
+    if got is None:
+        if not any(key):
+            return Polynomial.one(N)
+        last = max(i for i, e in enumerate(key) if e)
+        prefix = key[:last] + (key[last] - 1,) + key[last + 1:]
+        p = _key_normal_form(prefix) * _symbol_polys()[last]
+        got = degree_slice(commutator_generators(N),
+                           _key_weight(key)).normal_form(p)
+        _NF_CACHE[key] = got
+    return got
+
+
+def _certifies(p: Polynomial, sr: SReduced) -> bool:
+    """Is p minus the free-ring value of ``sr`` in the ideal?  Compared
+    on normal forms, one homogeneous component at a time: den times the
+    normal form of p's component against the sum of k * NF(key) over the
+    keys of that weight, for den*sr = sum k*key with int k.  Nothing is
+    expanded in full."""
+    gset = commutator_generators(N)
+    den, coeffs = integral(sr.terms)
+    got = {}
+    for key, k in coeffs.items():
+        total = got.setdefault(_key_weight(key), {})
+        get = total.get
+        for w, x in _key_normal_form(key).terms.items():
+            total[w] = get(w, 0) + k * x
+    for d, comp in p.homogeneous_components().items():
+        want = degree_slice(gset, d).normal_form(comp).terms
+        total = got.pop(d, {})
+        if ({w: x for w, x in total.items() if x}
+                != {w: den * x for w, x in want.items()}):
+            return False
+    return not any(any(t.values()) for t in got.values())
 
 
 @lru_cache(maxsize=None)
@@ -357,8 +420,10 @@ def reduce_invariant(p: Polynomial) -> SReduced:
 
 
 def clear_caches():
-    """Empty the orbit-sum cache and every cached table and symbol."""
+    """Empty the orbit-sum and normal-form caches and every cached table
+    and symbol."""
     _S_CACHE.clear()
+    _NF_CACHE.clear()
     for cached in (d_square_rewrite, _d_square_terms, _symbol_polys,
                    base_table, _sym):
         cached.cache_clear()
@@ -367,18 +432,17 @@ def clear_caches():
 def reduce_to_S_form(p: Polynomial, certify=False,
                      max_degree=None) -> SReduced:
     """Reduce an invariant polynomial; optionally certify the result by
-    exact membership of the difference in the invariance ideal, up to
-    degree ``max_degree`` (default ``DEGREE_BOUND``)."""
+    exact membership of the difference in the invariance ideal, on
+    normal forms, up to degree ``max_degree`` (default
+    ``DEGREE_BOUND``)."""
     max_degree = DEGREE_BOUND if max_degree is None else max_degree
     d = p.degree()
     if certify and d is not None and d > max_degree:
         raise ValueError(
             f"certification bound {max_degree} below degree {d}")
     sr = reduce_invariant(p)
-    if certify:
-        diff = p - expand_to_ring(sr)
-        if not member(diff, commutator_generators(N)).member:
-            raise AssertionError("reduction failed ideal certification")
+    if certify and not _certifies(p, sr):
+        raise AssertionError("reduction failed ideal certification")
     return sr
 
 
@@ -391,11 +455,9 @@ def _x(i: int) -> Polynomial:
 
 def _check_base_table():
     out = []
-    gset = commutator_generators(N)
     for atom, sr in sorted(base_table().items(),
                            key=lambda kv: kv[0].sort_key(), reverse=True):
-        diff = cyclic.orbit_polynomial(atom, N) - expand_to_ring(sr)
-        ok = member(diff, gset).member
+        ok = _certifies(cyclic.orbit_polynomial(atom, N), sr)
         out.append(_unit("n3_base_table", N, atom.degree, ok,
                          {"atom": render_poly(
                              Polynomial.from_monomial(atom, N)),
@@ -593,12 +655,11 @@ def _check_s_independence(max_degree):
     gset = commutator_generators(N)
     for d in range(1, max_degree + 1):
         sl = degree_slice(gset, d)
-        rows = []
-        count = 0
-        for key in _s_monomials(d):
-            count += 1
-            p = expand_to_ring(SReduced._trusted({key: Fraction(1)}, 5))
-            rows.append(sl.reduce(p).row)
+        keys = _s_monomials(d)
+        count = len(keys)
+        # the normal forms live on the non-pivot words, so this is the
+        # rank in the quotient
+        rows = [sl.vector_of(_key_normal_form(key))[1] for key in keys]
         rank = RowSpace(rows, len(sl.basis)).rank
         out.append(_unit("n3_s_independence", N, d, rank == count,
                          {"count": count, "rank": rank}))
@@ -606,7 +667,6 @@ def _check_s_independence(max_degree):
 
 
 def _check_s_reduction():
-    gset = commutator_generators(N)
     out = []
     # the worked product: (s2 + c)(s2 - 2c) collapses to a clean triple
     left = reduce_orbit(Monomial((1, 2)))
@@ -616,16 +676,15 @@ def _check_s_reduction():
     frozen = prod == expected
     u12 = cyclic.orbit_polynomial(Monomial((1, 2)), N)
     u13 = cyclic.orbit_polynomial(Monomial((1, 3)), N)
-    certified = member(u12 * u13 - expand_to_ring(prod), gset).member
+    certified = _certifies(u12 * u13, prod)
     out.append(_unit("n3_s_product", N, 4, frozen and certified,
                      {"frozen_form": prod.render(), "matches": frozen,
                       "certified": certified}))
     for d in range(1, DEGREE_BOUND + 1):
         bad = []
         for atom in enumerate_atoms(N, d):
-            sr = reduce_orbit(atom)
-            diff = cyclic.orbit_polynomial(atom, N) - expand_to_ring(sr)
-            if not member(diff, gset).member:
+            if not _certifies(cyclic.orbit_polynomial(atom, N),
+                              reduce_orbit(atom)):
                 bad.append(render_poly(Polynomial.from_monomial(atom, N)))
         out.append(_unit("n3_s_reduce_atoms", N, d, not bad,
                          {"atoms": len(enumerate_atoms(N, d)),

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -404,6 +403,9 @@ def clear_caches():
 # rat    := int ['/' int]
 #
 # A bare rational is accepted as a term so constants and "0" round-trip.
+# A term's word has at most MAX_WORD_LENGTH letters.
+
+MAX_WORD_LENGTH = 10 ** 6
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|([-+*/^()]))")
 
@@ -476,11 +478,16 @@ class _Parser:
         while self.peek()[0] == "*":
             self.take()
             factors.append(self.parse_factor())
-        mono = ONE
-        for f in factors:
-            mono = mono * f
-        if mono.max_index() > self.arity:
+        # bounded before any word is built: a longer one would exhaust
+        # memory before anything else could refuse it
+        length = sum(exp for _, exp in factors)
+        if length > MAX_WORD_LENGTH:
+            raise ValueError(f"exponent sum {length} exceeds the word "
+                             f"length bound {MAX_WORD_LENGTH}")
+        if any(idx > self.arity for idx, _ in factors):
             raise ValueError(f"generator index exceeds arity {self.arity}")
+        mono = Monomial._trusted(
+            [idx for idx, exp in factors for _ in range(exp)])
         return Polynomial({mono: coeff}, self.arity)
 
     def parse_rat(self) -> Fraction:
@@ -493,7 +500,8 @@ class _Parser:
             return Fraction(num, den)
         return Fraction(num)
 
-    def parse_factor(self) -> Monomial:
+    def parse_factor(self) -> tuple:
+        """(generator index, exponent) of one factor."""
         _, idx = self.take("var")
         if idx < 1:
             raise ValueError("generator indices start at 1")
@@ -503,9 +511,10 @@ class _Parser:
             _, exp = self.take("int")
             if exp < 1:
                 raise ValueError("exponents must be >= 1")
-            if exp > sys.maxsize:  # past this a tuple length overflows
-                raise ValueError(f"exponent {exp} exceeds {sys.maxsize}")
-        return Monomial((idx,) * exp)
+            if exp > MAX_WORD_LENGTH:
+                raise ValueError(f"exponent {exp} exceeds the word length "
+                                 f"bound {MAX_WORD_LENGTH}")
+        return idx, exp
 
 
 def parse_poly(text: str, n: int) -> Polynomial:

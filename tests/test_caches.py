@@ -38,7 +38,9 @@ def fill():
     reductions = [n3lab.reduce_invariant(inv),
                   n3lab.reduce_orbit(Monomial.from_letters([1, 2, 3, 1, 3])),
                   n3lab.expand_to_ring(n3lab.reduce_invariant(inv)),
-                  d_product]
+                  d_product,
+                  # certified on the cached symbol normal forms
+                  n3lab.reduce_to_S_form(inv, certify=True)]
     words = atoms.enumerate_atoms(3, 4)
     return slices, reductions, words
 
@@ -54,13 +56,14 @@ def test_clear_caches_empties_every_cache_and_rebuilds_equal_values():
     # one slice per family and degree, whatever with_tags says
     assert slices[1] is ideal.degree_slice(ideal.commutator_generators(3), 3)
     assert all(cached.cache_info().currsize for cached in caches.values())
-    assert ideal._slice_cache and n3lab._S_CACHE
+    assert ideal._slice_cache and n3lab._S_CACHE and n3lab._NF_CACHE
 
     sigmaforge.clear_caches()
     for name, cached in caches.items():
         assert cached.cache_info().currsize == 0, name
     assert len(ideal._slice_cache) == 0
     assert len(n3lab._S_CACHE) == 0
+    assert len(n3lab._NF_CACHE) == 0
 
     new_slices, new_reductions, new_words = fill()
     for old, new in zip(slices, new_slices):

@@ -97,6 +97,23 @@ def test_rewrite_stdout_is_pinned(capsys, polynomial, n, output, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("extra,digest", [
+    ((), "67fd83e9756c359a3ed75b4f00348a94f6bc98d35115e21123da4d225107ceb9"),
+    (("--output", "json"),
+     "028af438b4ad94a48d3d088a87aaa02ab9545074627bcb0241469b5c4ac1a3d1"),
+    pytest.param(
+        ("--max-degree", "8", "--output", "json"),
+        "36fa920aad0d8d4f66b1ac46d6eb7360342a532dedd0b0ec9eff00d3a8e44c97",
+        marks=pytest.mark.slow),
+], ids=["text", "json", "degree-8-json"])
+def test_verify_n3_stdout_is_pinned(capsys, extra, digest):
+    """sha256 of the whole stdout; the digests were taken while every
+    form was still certified by expanding it in the free ring."""
+    code, out, _ = run(capsys, "verify", "n3", *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 SEARCH = ("search", "--n", "3", "--dim", "2", "--family", "block-triangular",
           "--seed", "0", "--budget", "500")
 
@@ -163,6 +180,18 @@ def test_rewrite_rejects_noninvariant(capsys):
                          "--n", "3")
     assert (code, out) == (2, "")
     assert err.startswith("error: exponent 99999999999999999999 exceeds")
+
+
+@pytest.mark.parametrize("polynomial", [
+    "x1^10000000000", "x1^600000*x2^600000 + x3",
+    "x1^2*x2^999999"])
+def test_member_refuses_a_word_past_the_length_bound(capsys, polynomial):
+    """The word is bounded before it is built: a product of factors
+    counts whole, and nothing is allocated for it first."""
+    code, out, err = run(capsys, "member", polynomial, "--n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: exponent ")
+    assert "exceeds" in err.splitlines()[0]
 
 
 def test_member_pass_and_fail(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sigmaforge import cyclic, n3lab
-from sigmaforge.ideal import commutator_generators, member
+from sigmaforge.ideal import commutator_generators, degree_slice, member
 from sigmaforge.n3lab import (
     SReduced,
     base_table,
@@ -128,20 +128,65 @@ def test_reduce_composite_representatives():
         assert member(diff, gset).member, text
 
 
-def test_reduce_invariant_certified_random():
-    rng = random.Random(31)
-    gset = commutator_generators(3)
+def random_invariants(rng, count):
+    """Seeded inhomogeneous invariants: a constant plus up to three
+    rational multiples of orbit sums of words of degree 1 to 3."""
     from sigmaforge.ring import basis_words
 
     pool = [w for d in (1, 2, 3) for w in basis_words(3, d)]
-    for _ in range(25):
+    for _ in range(count):
         p = Polynomial.constant(Fraction(rng.randint(-3, 3)), 3)
         for _ in range(rng.randint(1, 3)):
             m = rng.choice(pool)
             p = p + cyclic.orbit_polynomial(m, 3) * \
                 Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        yield p
+
+
+def test_reduce_invariant_certified_random():
+    gset = commutator_generators(3)
+    for p in random_invariants(random.Random(31), 25):
         sr = reduce_to_S_form(p, certify=True)
         assert member(p - expand_to_ring(sr), gset).member
+
+
+def symbol_keys(max_weight):
+    return [key for d in range(1, max_weight + 1)
+            for key in n3lab._s_monomials(d)]
+
+
+@pytest.mark.parametrize("max_weight", [
+    6, pytest.param(8, marks=pytest.mark.slow)])
+def test_symbol_normal_forms_match_the_expansion(max_weight):
+    """NF(key), built from its prefix's normal form, against the full
+    free-ring expansion: their difference is a member, and NF(key) has
+    no pivot word of its slice, so it is the canonical normal form."""
+    gset = commutator_generators(3)
+    for key in symbol_keys(max_weight):
+        nf = n3lab._key_normal_form(key)
+        full = expand_to_ring(SReduced._trusted({key: Fraction(1)}, 5))
+        assert member(full - nf, gset).member, key
+        sl = degree_slice(gset, n3lab._key_weight(key))
+        pivots = {sl.basis[c] for c in sl.space.pivots}
+        assert not pivots & set(nf.terms), key
+        assert sl.normal_form(full) == nf, key
+
+
+def test_normal_form_verdicts_match_membership():
+    """The normal-form verdict against member(p - expand_to_ring(sr)) on
+    200 seeded invariants, each also with its form moved by one symbol
+    monomial, which both routes must reject."""
+    gset = commutator_generators(3)
+    rng = random.Random(33)
+    keys = symbol_keys(4)
+    for p in random_invariants(rng, 200):
+        sr = reduce_invariant(p)
+        bad = sr + SReduced._trusted(
+            {rng.choice(keys): Fraction(rng.choice((-2, -1, 1, 3)))}, 5)
+        for form, want in ((sr, True), (bad, False)):
+            verdict = n3lab._certifies(p, form)
+            assert verdict == member(p - expand_to_ring(form), gset).member
+            assert verdict is want
 
 
 def test_reduce_is_multiplicative():
@@ -199,13 +244,17 @@ def test_clear_caches_gives_equal_reductions():
     reps = [om("x1^2*x2*x1*x3"), om("x1*x2*x1*x3*x2"), om("x1^3*x2^2"),
             om("x1*x3*x1*x3*x2*x1")]
     inv = cyclic.orbit_polynomial(om("x1^2*x3^3"), 3) * Fraction(3, 2) + 1
-    before = [reduce_orbit(r) for r in reps] + [reduce_invariant(inv)]
+    before = ([reduce_orbit(r) for r in reps] + [reduce_invariant(inv)]
+              + [reduce_to_S_form(inv, certify=True)])
+    assert n3lab._NF_CACHE
     n3lab.clear_caches()
     assert n3lab._S_CACHE == {}
+    assert n3lab._NF_CACHE == {}
     for cached in (n3lab.d_square_rewrite, n3lab._d_square_terms,
                    n3lab._symbol_polys, base_table, n3lab._sym):
         assert cached.cache_info().currsize == 0
-    after = [reduce_orbit(r) for r in reps] + [reduce_invariant(inv)]
+    after = ([reduce_orbit(r) for r in reps] + [reduce_invariant(inv)]
+             + [reduce_to_S_form(inv, certify=True)])
     assert after == before
 
 

@@ -258,6 +258,17 @@ class TestTextFormat:
             p = Polynomial(terms, 3)
             assert parse_poly(render_poly(p), 3) == p
 
+    def test_parse_word_length_bound(self):
+        from sigmaforge.ring import MAX_WORD_LENGTH
+
+        top = MAX_WORD_LENGTH
+        word = parse_monomial(f"x2*x1^{top - 2}*x3", 3)
+        assert len(word) == top and word[0] == 2 and word[-1] == 3
+        for bad in (f"x1^{top + 1}", f"x1^{top}*x2", f"x1^{top // 2 + 1}"
+                    f"*x2^{top // 2}"):
+            with pytest.raises(ValueError, match="^exponent .* exceeds"):
+                parse_poly(bad, 3)
+
     def test_parse_monomial(self):
         assert parse_monomial("x1*x3^4*x1^2*x2", 4) == \
             M(1, 3, 3, 3, 3, 1, 1, 2)
