@@ -143,8 +143,6 @@ def _cmd_search(args):
                  f"{len(cand['products'])} "
                  f"singular_products={cand['singular_products']}"
                  for cand in report["candidates"])
-    if report["budget_exhausted"]:
-        lines.append("budget exhausted")
     return report, lines
 
 

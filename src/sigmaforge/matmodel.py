@@ -13,8 +13,8 @@ E(y) = (I + M_1 y)...(I + M_n y), the lambda series of noncommutative
 symmetric functions. eval_sigmas builds E(y) suffix by suffix with
 sigma_k(M_i..M_n) = M_i sigma_{k-1}(M_{i+1}..M_n) + sigma_k(M_{i+1}..M_n),
 in n(n-1)/2 matrix products for all k together: 6 at n=4, against 17
-for the sums over index words of eval_sigma_matrices, the definition
-kept as the reference.
+for the sums over index words of the definition, which the tests keep
+as the reference.
 
 All arithmetic is exact: entries are ints or Fractions, singularity is
 decided by exact rank. mat_rank is fraction-free (Bareiss) elimination
@@ -43,23 +43,30 @@ def zero_matrix(dim: int) -> tuple:
     return tuple((0,) * dim for _ in range(dim))
 
 
+# The kernels build every tuple from a list.  tuple() of a generator,
+# a map or a zip allocates a 10-slot tuple and shrinks it, so the
+# results that die pile up on CPython's per-size tuple free lists; a
+# tuple built from a list takes its slot from those lists and gives it
+# back.
+
+
 def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
+    return tuple([tuple([*map(operator.add, ra, rb)])
+                  for ra, rb in zip(a, b)])
 
 
 def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
+    return tuple([tuple([*map(operator.sub, ra, rb)])
+                  for ra, rb in zip(a, b)])
 
 
 def mat_mul(a, b):
     """The product ab; each entry sums its products left to right, as
     sum(x * y for x, y in zip(row, col)) would, with the loop in C."""
-    cols = tuple(zip(*b))
+    cols = [*zip(*b)]
     mul = operator.mul
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols)
-                 for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                  for row in a])
 
 
 def mat_commutator(a, b):
@@ -129,32 +136,10 @@ class MatrixTuple(namedtuple("MatrixTuple", "n dim mats")):
             frozen.append(rows)
         return super().__new__(cls, n, dim, tuple(frozen))
 
-    @classmethod
-    def from_mats(cls, mats) -> "MatrixTuple":
-        mats = tuple(mats)
-        if not mats:
-            raise ValueError("need at least one matrix")
-        return cls(len(mats), len(mats[0]), mats)
-
     def rotated(self, r: int = 1) -> "MatrixTuple":
         """Circular shift: entry i of the result is matrix i + r."""
         r %= self.n
         return MatrixTuple(self.n, self.dim, self.mats[r:] + self.mats[:r])
-
-
-def eval_sigma_matrices(t: MatrixTuple, k: int):
-    """Sum of ordered products over strictly increasing index words."""
-    if not 0 <= k <= t.n:
-        raise ValueError(f"k must lie in 0..{t.n}, got {k}")
-    if k == 0:
-        return identity_matrix(t.dim)
-    total = zero_matrix(t.dim)
-    for word in itertools.combinations(range(t.n), k):
-        prod = t.mats[word[0]]
-        for i in word[1:]:
-            prod = mat_mul(prod, t.mats[i])
-        total = mat_add(total, prod)
-    return total
 
 
 def eval_sigmas(mats) -> list:
@@ -270,8 +255,14 @@ def random_tuple(family: str, n: int, dim: int, rng: random.Random) -> MatrixTup
 
 
 def examine_tuple(t: MatrixTuple, index: int = 0):
-    """Filter one tuple; returns (summary, candidate record or None)."""
+    """Filter one tuple; returns (summary, candidate record or None).
+
+    A tuple on which the relations fail is never a candidate, and its
+    summary needs only whether some pair fails to commute, so its scan
+    of the pairs stops at the first nonzero commutator.
+    """
     invariant, commuting = check_c12(t)
+    relations_hold = invariant and commuting
     pairs = []
     comms = {}
     for i, j in itertools.combinations(range(t.n), 2):
@@ -279,9 +270,11 @@ def examine_tuple(t: MatrixTuple, index: int = 0):
         if not is_zero_matrix(c):
             pairs.append((i + 1, j + 1))
             comms[(i + 1, j + 1)] = c
-    summary = {"relations_hold": invariant and commuting,
+            if not relations_hold:
+                break
+    summary = {"relations_hold": relations_hold,
                "noncommuting": bool(pairs)}
-    if not (summary["relations_hold"] and pairs):
+    if not (relations_hold and pairs):
         return summary, None
     products = []
     zero_count = singular_count = 0
@@ -312,7 +305,6 @@ def zero_divisor_search(params) -> dict:
     examined tuples on which the relations hold while at least one
     pair fails to commute; for each one, every ordered product of two
     nonzero commutators is tested for vanishing and for singularity.
-    Budget exhaustion is reported, not raised.
     """
     n = int(params["n"])
     dim = int(params["dim"])
@@ -341,5 +333,4 @@ def zero_divisor_search(params) -> dict:
             "candidates": len(candidates),
         },
         "candidates": candidates,
-        "budget_exhausted": len(results) == budget,
     }

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,7 +116,11 @@ def test_verify_n3_stdout_is_pinned(capsys, extra, digest):
 
 
 SEARCH = ("search", "--n", "3", "--dim", "2", "--family", "block-triangular",
-          "--seed", "0", "--budget", "500")
+          "--seed", "0")
+# the README example, and a dense n=4 run with no candidate
+SEARCH_README = SEARCH + ("--budget", "2000")
+SEARCH_DENSE = ("search", "--n", "4", "--dim", "3", "--family", "dense",
+                "--seed", "1", "--budget", "200")
 
 
 @pytest.mark.parametrize("argv,code,digest", [
@@ -149,23 +154,35 @@ SEARCH = ("search", "--n", "3", "--dim", "2", "--family", "block-triangular",
      "01a66bb8357750bfcf613d8317dcd81faa12627dfb531a82f0a7f08014568762"),
     (("n3", "reduce", "x1^3+x2^3+x3^3", "--output", "text"), 0,
      "f23b6a53740dee8073e376a456520770670c45bde7d93b3cc3aee546c2e9e705"),
-    (SEARCH + ("--output", "text"), 0,
-     "7228ccc95669e559142e2dc702cb4c360e457417f25cfa6ada6289a61f20cf3f"),
-    (SEARCH + ("--output", "json"), 0,
-     "87fa3af48ceaf951fd5c27e805383acb8705b7ec7d3a59fd2dec4c3ddca2a11f"),
+    (SEARCH + ("--budget", "500", "--output", "text"), 0,
+     "36c324a849534d3bbfdc2bdc2cb280ed8839ac2c9bda61b41878dea83893535b"),
+    (SEARCH + ("--budget", "500", "--output", "json"), 0,
+     "7ffc146a0af147e0df61d3bb4286e691451a244e02209d0fdaab147024741c22"),
+    (SEARCH_README + ("--output", "text"), 0,
+     "41e5798c6ab0f7d4740e638481a32f43567c0fc8588674576802c2483ae949b3"),
+    (SEARCH_README + ("--output", "json"), 0,
+     "df55da3d86bf084bd74f8eb9d3d19b2fc36bf1811afc6f2d41e18632e053c28f"),
+    (SEARCH_DENSE + ("--output", "text"), 0,
+     "7135c11410da9129a990899cabed1c9dca21f0b6ca20463f8ad82ee87f854e43"),
+    (SEARCH_DENSE + ("--output", "json"), 0,
+     "16215f60c865a8efad5b28279eabb3e895df907893454e1dbc6f096ab17a56bd"),
     # a usage error prints nothing on stdout: the digest of b""
     (("sigma", "2", "1", "--output", "text"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ], ids=["cor_1_4", "eq_4", "member", "orbit", "orbit-text", "factor",
         "factor-text", "atoms", "atoms-text", "sigma-text", "sigma-json",
         "n3-reduce-text", "n3-reduce-json", "n3-reduce-certified",
-        "search-text", "search-json", "sigma-n2"])
+        "search-text", "search-json", "search-readme-text",
+        "search-readme-json", "search-dense-text", "search-dense-json",
+        "sigma-n2"])
 def test_word_commands_stdout_is_pinned(capsys, argv, code, digest):
     """sha256 of the whole stdout and the exit code.  The JSON rows of
     verify, member, orbit, factor and atoms were taken before monomials
     were stored as letter tuples, the others before the command line
     printed through one output path: neither change shows in the
-    output."""
+    output.  The search rows were taken when the "budget exhausted"
+    line and the ``budget_exhausted`` key went; before, that line or
+    key, printed on every run, was the only difference."""
     got, out, _ = run(capsys, *argv)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -192,6 +209,18 @@ def test_member_refuses_a_word_past_the_length_bound(capsys, polynomial):
     assert (code, out) == (2, "")
     assert err.startswith("error: exponent ")
     assert "exceeds" in err.splitlines()[0]
+
+
+@pytest.mark.parametrize("polynomial", ["x1^1000000", "x1^13"])
+def test_member_refuses_a_slice_past_the_column_bound(capsys, polynomial):
+    """A degree whose slice has more than 3^12 word columns is refused
+    before any word of it is listed."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "member", polynomial, "--n", "3")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the degree-")
+    assert "531441 word columns" in err
 
 
 def test_member_pass_and_fail(capsys):
@@ -323,13 +352,15 @@ def test_search_text_and_json(capsys):
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert "candidate index=464" in out
-    assert "budget exhausted" in out
+    # every run examines exactly its budget, so no line reports that
+    assert "budget exhausted" not in out
 
     code, out, _ = run(capsys, *args, "--output", "json")
     assert code == 0
     report = json.loads(out)
     assert report["counts"]["candidates"] == 1
     assert report["candidates"][0]["index"] == 464
+    assert "budget_exhausted" not in report
 
 
 def test_search_byte_identical(capsys):

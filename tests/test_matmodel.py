@@ -1,5 +1,6 @@
 """Tests for the exact matrix models and the seeded search."""
 
+import gc
 import itertools
 import json
 import math
@@ -20,21 +21,48 @@ from sigmaforge.matmodel import (
     MatrixTuple,
     check_c12,
     cyclic_permutation_matrix,
-    eval_sigma_matrices,
     eval_sigmas,
     examine_tuple,
     identity_matrix,
     is_zero_matrix,
+    mat_add,
     mat_commutator,
     mat_mul,
     mat_rank,
+    mat_sub,
     random_tuple,
     zero_divisor_search,
+    zero_matrix,
 )
 from sigmaforge.ring import integral
 
+
+def from_mats(mats) -> MatrixTuple:
+    """The tuple of the square matrices ``mats``, n and dim read off."""
+    mats = tuple(mats)
+    if not mats:
+        raise ValueError("need at least one matrix")
+    return MatrixTuple(len(mats), len(mats[0]), mats)
+
+
+def eval_sigma_matrices(t: MatrixTuple, k: int):
+    """sigma_k by its definition: the sum of the ordered products over
+    strictly increasing index words; the reference for eval_sigmas."""
+    if not 0 <= k <= t.n:
+        raise ValueError(f"k must lie in 0..{t.n}, got {k}")
+    if k == 0:
+        return identity_matrix(t.dim)
+    total = zero_matrix(t.dim)
+    for word in itertools.combinations(range(t.n), k):
+        prod = t.mats[word[0]]
+        for i in word[1:]:
+            prod = mat_mul(prod, t.mats[i])
+        total = mat_add(total, prod)
+    return total
+
+
 # relations hold, no pair commutes, dim 2: frozen from a brute-force scan
-CANDIDATE = MatrixTuple.from_mats((
+CANDIDATE = from_mats((
     ((-2, -2), (0, -1)),
     ((-2, 1), (0, -2)),
     ((-1, 1), (0, -2)),
@@ -84,7 +112,7 @@ def test_recursion_route_matches_definition():
     a = ((half, 1), (0, third))
     b = ((2, third), (half, 0))
     c = ((Fraction(5, 4), 0), (-1, half))
-    tuples += [MatrixTuple.from_mats(mats) for mats in (
+    tuples += [from_mats(mats) for mats in (
         (((half,),), ((third,),)),
         (a, b, c),
         (a, b, a, c, b),
@@ -142,7 +170,7 @@ def test_check_c12_product_count(monkeypatch):
         return tuple(tuple(x if i == j else 0 for j, x in enumerate(v))
                      for i in range(len(v)))
 
-    t = MatrixTuple.from_mats(
+    t = from_mats(
         (diag(1, 2, 3), diag(-1, 0, 2), diag(3, 3, 1), diag(2, -2, 0)))
     monkeypatch.setattr(matmodel, "mat_mul", counted)
     assert check_c12(t) == (True, True)
@@ -348,6 +376,36 @@ def test_mat_mul_matches_triple_loop_in_value_and_type():
     assert kinds == {int, Fraction}
 
 
+@pytest.mark.parametrize("kernel", [mat_mul, mat_add, mat_sub],
+                         ids=["mul", "add", "sub"])
+def test_kernel_keeps_no_block_per_call(kernel):
+    """tuple() of a generator, a map or a zip shrinks a fresh 10-slot
+    tuple, so results that die pile up on CPython's per-size tuple free
+    lists, thousands of blocks per thousand calls; the kernels build
+    every tuple from a list and keep none.  A full collection empties
+    those free lists, so none may run while counting (see
+    tests/test_ring.py::test_integral_keeps_no_block_per_call)."""
+    rng = random.Random(61)
+    pairs = []
+    for _ in range(1000):
+        dim = rng.randint(2, 4)
+        a, b = (tuple(tuple(rng.randint(-9, 9) for _ in range(dim))
+                      for _ in range(dim)) for _ in range(2))
+        pairs.append((a, b))
+    for a, b in pairs[:20]:
+        kernel(a, b)
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for a, b in pairs:
+            kernel(a, b)
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown <= 100
+
+
 def _examine_exhaustively(t, index):
     """examine_tuple with triple-loop products and ranks by Fraction
     elimination; the reference for the product kernel and mat_rank."""
@@ -408,8 +466,9 @@ def test_examine_tuple_product_count(monkeypatch):
     """A non-invariant dense n=4 tuple whose first pair does not
     commute: check_c12 stops at the first rotation and the first failed
     comparison, and the scan then makes one commutator, 2 products, for
-    each of the 6 pairs, since every nonzero one goes in the summary."""
-    t = MatrixTuple.from_mats((
+    the first pair only: a tuple that fails the relations is never a
+    candidate, so its scan ends at the first nonzero commutator."""
+    t = from_mats((
         ((1, 2), (0, 1)), ((1, 0), (3, 1)),
         ((2, -1), (1, 0)), ((0, 1), (-2, 3))))
     calls = []
@@ -425,7 +484,7 @@ def test_examine_tuple_product_count(monkeypatch):
     calls.clear()
     assert examine_tuple(t) == (
         {"relations_hold": False, "noncommuting": True}, None)
-    assert len(calls) == c12 + 2 * 6
+    assert len(calls) == c12 + 2
     # sigmas of the tuple and of its first rotation, 6 each; the first
     # sigma_1 . M_1 comparison already fails
     assert c12 == 6 + 6 + 2
@@ -440,15 +499,15 @@ def test_matrix_tuple_validation():
     with pytest.raises(ValueError):
         MatrixTuple(2, 2, (((1, 0), (0, 1)),))
     with pytest.raises(ValueError):
-        MatrixTuple.from_mats((((1, 0), (0, 1)), ((1,), (0,))))
+        from_mats((((1, 0), (0, 1)), ((1,), (0,))))
     with pytest.raises(ValueError):
-        MatrixTuple.from_mats((((1, 0),),))
+        from_mats((((1, 0),),))
     with pytest.raises(ValueError):
-        MatrixTuple.from_mats((((0.5, 0), (0, 1)),))
+        from_mats((((0.5, 0), (0, 1)),))
 
 
 def test_matrix_tuple_is_an_immutable_value():
-    t = MatrixTuple.from_mats(CANDIDATE.mats)
+    t = from_mats(CANDIDATE.mats)
     assert t == CANDIDATE and hash(t) == hash(CANDIDATE)
     assert t != t.rotated() and t != CANDIDATE.mats
     assert repr(t).startswith("MatrixTuple(n=3, dim=2, mats=(((-2, -2),")
@@ -471,7 +530,8 @@ def test_search_commuting_family_has_no_candidates():
     assert rep["counts"]["noncommuting_pair"] == 0
     assert rep["counts"]["candidates"] == 0
     assert rep["candidates"] == []
-    assert rep["budget_exhausted"]
+    # every run examines exactly its budget, so no flag reports that
+    assert "budget_exhausted" not in rep
 
 
 def test_search_zero_budget_gives_empty_report():
@@ -516,8 +576,8 @@ def test_search_is_deterministic():
 
 C12_UNDER_O = """
 from sigmaforge import matmodel
-t = matmodel.MatrixTuple.from_mats(
-    [((1, 0), (0, 2)), ((3, 0), (0, 4)), ((5, 0), (0, 6))])
+t = matmodel.MatrixTuple(
+    3, 2, [((1, 0), (0, 2)), ((3, 0), (0, 4)), ((5, 0), (0, 6))])
 # the tuple itself gets identity sigmas (which commute with everything),
 # every rotation gets zero sigmas: the two verdicts must disagree
 matmodel.eval_sigmas = lambda mats: [

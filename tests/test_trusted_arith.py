@@ -10,7 +10,9 @@ bad-input table also holds the rows ``linalg.RowSpace`` refuses: a
 row is a {column: int} dict with ``int`` columns, and a ``Fraction`` or
 ``float`` entry is refused rather than truncated.  It also holds the
 monomial ``cyclic.act`` refuses, one with a letter beyond the arity,
-whose trusted image would be a wrong word.  A bool is not a letter, and
+whose trusted image would be a wrong word, and the degree slice
+``ideal.degree_slice`` refuses, one of more than ``MAX_SLICE_COLUMNS``
+word columns.  A bool is not a letter, and
 a float is not a coefficient: both are refused, not read as 1 or as the
 float's binary fraction.
 """
@@ -26,6 +28,7 @@ import pytest
 from sigmaforge import ring
 from sigmaforge.atoms import enumerate_atoms
 from sigmaforge.cyclic import act
+from sigmaforge.ideal import commutator_generators, degree_slice
 from sigmaforge.linalg import RowSpace
 from sigmaforge.n3lab import SReduced
 from sigmaforge.rewrite import AtomExpression
@@ -106,6 +109,10 @@ BAD_INPUTS = [
      TypeError),
     ("act_beyond_arity",
      lambda: act(0, Monomial((1, 5)), 3), ValueError),
+    ("slice_past_column_bound",
+     lambda: degree_slice(commutator_generators(3), 13), ValueError),
+    ("slice_past_column_bound_huge_degree",
+     lambda: degree_slice(commutator_generators(3), 10 ** 6), ValueError),
 ]
 
 
