@@ -14,15 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclic import act
-from .ring import InternalError, Monomial, ONE
-
-
-def is_orbit_max(m: Monomial, n: int) -> bool:
-    """Is m the distinguished (largest) member of its cyclic orbit?"""
-    if m.is_unit():
-        raise ValueError("the unit monomial has no orbit representative")
-    _check_letters(m, n)
-    return m[0] == 1
+from .ring import MAX_TERMS, InternalError, Monomial, power_exceeds_bound
 
 
 def orbit_max(m: Monomial, n: int) -> Monomial:
@@ -51,7 +43,9 @@ def is_atom(m: Monomial, n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def enumerate_atoms(n: int, degree: int) -> tuple:
-    """All degree-d atoms, largest first; there are (n-1)^(d-1) of them.
+    """All degree-d atoms, largest first; there are (n-1)^(d-1) of them,
+    and more than ``MAX_TERMS`` are refused with ValueError before any
+    is listed.
 
     Decreasing monomial order on equal-degree square-free words is
     increasing lexicographic order on their letter strings.
@@ -60,6 +54,10 @@ def enumerate_atoms(n: int, degree: int) -> tuple:
         raise ValueError("atoms need at least two letters")
     if degree < 1:
         return ()
+    if power_exceeds_bound(n - 1, degree - 1):
+        raise ValueError(
+            f"n={n} has more than {MAX_TERMS} atoms of degree {degree}; "
+            "refusing to list them")
     words = [(1,)]
     for _ in range(degree - 1):
         words = [w + (c,) for w in words
@@ -72,27 +70,21 @@ def clear_caches():
     enumerate_atoms.cache_clear()
 
 
-def semigroup_mul(u: Monomial, v: Monomial, n: int) -> Monomial:
-    """Twisted product of orbit representatives.
-
-    Rotate v so its first letter matches u's last letter, then
-    concatenate; the boundary letter repeats.  The unit is the
-    identity on both sides.
-    """
-    if u.is_unit():
-        return v
-    if v.is_unit():
-        return u
-    _check_letters(u, n)
-    _check_letters(v, n)
-    return u * act(u[-1] - v[0], v, n)
-
-
 def semigroup_product(factors, n: int) -> Monomial:
-    out = ONE
+    """Twisted product of orbit representatives, left to right.
+
+    Rotate each factor so its first letter matches the last letter so
+    far, then concatenate; the boundary letter repeats.  The unit is
+    the identity on both sides.  The letters go into one list, so the
+    cost is linear in the length of the product.
+    """
+    out = []
     for f in factors:
-        out = semigroup_mul(out, f, n)
-    return out
+        if f.is_unit():
+            continue
+        _check_letters(f, n)
+        out.extend(act(out[-1] - f[0], f, n) if out else f)
+    return Monomial._trusted(out)
 
 
 def factor_atoms(m: Monomial, n: int) -> list:
@@ -115,7 +107,3 @@ def factor_atoms(m: Monomial, n: int) -> list:
     if semigroup_product(factors, n) != rep:
         raise InternalError(f"factorization failed to multiply back: {rep}")
     return factors
-
-
-def atom_count(n: int, degree: int) -> int:
-    return (n - 1) ** (degree - 1) if degree >= 1 else 0

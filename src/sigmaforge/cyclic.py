@@ -49,16 +49,3 @@ def orbit(m: Monomial, n: int) -> list:
 
 def orbit_polynomial(m: Monomial, n: int) -> Polynomial:
     return Polynomial({u: Fraction(1) for u in orbit(m, n)}, n)
-
-
-def is_invariant(p: Polynomial) -> bool:
-    return act(1, p, p.arity) == p
-
-
-def average(p: Polynomial) -> Polynomial:
-    """Group average; always invariant, fixes p when p is invariant."""
-    n = p.arity
-    total = Polynomial.zero(n)
-    for r in range(n):
-        total = total + act(r, p, n)
-    return total * Fraction(1, n)

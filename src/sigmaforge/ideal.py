@@ -7,8 +7,8 @@ expressed in the fixed degree-d word basis (decreasing monomial order).
 A spanning row is named by its words, as (generator index, |u|,
 position of u, position of v), and a word's column is read off its
 base-n code, for the rows a slice builds and the vectors it reduces.
-Canonical echelon forms make span comparison, membership, residual
-witnesses and explicit combination certificates deterministic.  There
+Canonical echelon forms make membership, residual witnesses and
+explicit combination certificates deterministic.  There
 is one slice per family and degree: certificates are read off the
 elimination records of its ``RowSpace``, and each is rebuilt in the
 free ring before it is returned.
@@ -46,8 +46,9 @@ from itertools import combinations, combinations_with_replacement
 
 from . import cyclic
 from .linalg import RowSpace
-from .ring import (ONE, InternalError, Monomial, Polynomial, basis_words,
-                   commutator, integral, render_poly, variable_commutator)
+from .ring import (MAX_TERMS, ONE, InternalError, Monomial, Polynomial,
+                   basis_words, commutator, integral, power_exceeds_bound,
+                   render_poly, variable_commutator)
 from .sigma import (build_sigma, char_poly_image, factored_char_coefficients,
                     inverse_identity_image, verify_sigma_independence)
 
@@ -56,10 +57,6 @@ DIFFERENCES = "sigma-differences"
 
 #: certification bounds keeping the word basis around a thousand columns
 DEFAULT_DEGREE_BOUND = {3: 6, 4: 5, 5: 4}
-
-#: the most word columns a slice may have: n=3 at degree 12, the
-#: largest slice measured so far (46.7 s, 1.16 GB with the lower ones)
-MAX_SLICE_COLUMNS = 3 ** 12
 
 
 def default_degree_bound(n: int) -> int:
@@ -400,34 +397,23 @@ def degree_slice(gset: GeneratorSet, degree: int,
     accepted for compatibility and changes nothing: every slice gives
     certificates.
 
-    A slice of more than MAX_SLICE_COLUMNS words is refused with
-    ValueError before anything is built.  n ** d is taken with d capped
-    at the bound's bit length, past which 2 ** d alone exceeds it, so a
-    huge degree costs nothing to refuse."""
+    A slice of more than ``ring.MAX_TERMS`` words is refused with
+    ValueError before anything is built, whatever the degree."""
     key = (gset.cache_key(), degree)
     got = _slice_cache.get(key)
     if got is None:
         n = gset.n
-        capped = min(degree, MAX_SLICE_COLUMNS.bit_length())
-        if n ** capped > MAX_SLICE_COLUMNS:
+        if power_exceeds_bound(n, degree):
             raise ValueError(
                 f"the degree-{degree} slice at n={n} has more than "
-                f"{MAX_SLICE_COLUMNS} word columns; refusing to build it")
+                f"{MAX_TERMS} word columns; refusing to build it")
         got = DegreeSlice(gset, degree)
         _slice_cache[key] = got
     return got
 
 
-def spans_equal(a: GeneratorSet, b: GeneratorSet, degree: int) -> bool:
-    """Do two generator families span the same degree-d slice?"""
-    if a.n != b.n:
-        raise ValueError("arity mismatch")
-    return degree_slice(a, degree).space == degree_slice(b, degree).space
-
-
-def quotient_dim(n: int, degree: int, gset=None) -> int:
-    gset = commutator_generators(n) if gset is None else gset
-    return degree_slice(gset, degree).quotient_dim
+def quotient_dim(n: int, degree: int) -> int:
+    return degree_slice(commutator_generators(n), degree).quotient_dim
 
 
 class MemberResult(namedtuple("MemberResult",

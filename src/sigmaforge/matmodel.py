@@ -34,15 +34,6 @@ from .ring import integral
 FAMILIES = ("commuting", "conj-cyclic", "block-triangular", "dense")
 
 
-def identity_matrix(dim: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(dim))
-                 for i in range(dim))
-
-
-def zero_matrix(dim: int) -> tuple:
-    return tuple((0,) * dim for _ in range(dim))
-
-
 # The kernels build every tuple from a list.  tuple() of a generator,
 # a map or a zip allocates a 10-slot tuple and shrinks it, so the
 # results that die pile up on CPython's per-size tuple free lists; a
@@ -135,11 +126,6 @@ class MatrixTuple(namedtuple("MatrixTuple", "n dim mats")):
                             f"entries must be rational, got {type(x).__name__}")
             frozen.append(rows)
         return super().__new__(cls, n, dim, tuple(frozen))
-
-    def rotated(self, r: int = 1) -> "MatrixTuple":
-        """Circular shift: entry i of the result is matrix i + r."""
-        r %= self.n
-        return MatrixTuple(self.n, self.dim, self.mats[r:] + self.mats[:r])
 
 
 def eval_sigmas(mats) -> list:

@@ -43,6 +43,10 @@ SYMBOL_WEIGHTS = (1, 2, 3, 6, 3)
 # the default degree bound of reduce_to_S_form and verify_n3_suite; the
 # suite refuses a lower one, since its fixed units run at this degree
 DEGREE_BOUND = 6
+# the highest degree reduce_to_S_form takes, certified or not: power
+# sums of degree 16 take 12.5 s and each degree past it more, and the
+# reduction recurses deeper with the degree
+MAX_REDUCE_DEGREE = 16
 
 
 def c_element() -> Polynomial:
@@ -231,22 +235,6 @@ def _symbol_polys():
                   c * c * c, extra_symbol_poly(), c))
 
 
-def expand_to_ring(sr: SReduced) -> Polynomial:
-    """Evaluate a canonical form in the free ring, factors in the fixed
-    order s1, s2, s3, c3, d, c.  Certification never expands a form
-    (see ``_certifies``); this is the tests' reference route, which
-    ``member`` checks against the normal forms."""
-    syms = _symbol_polys()
-    total = Polynomial.zero(N)
-    for key, coeff in sorted(sr.terms.items()):
-        prod = Polynomial.constant(coeff, N)
-        for sym, e in zip(syms, key):
-            for _ in range(e):
-                prod = prod * sym
-        total = total + prod
-    return total
-
-
 _KEY_WEIGHTS = SYMBOL_WEIGHTS + (2,)  # of an SReduced key's exponents
 _NF_CACHE = {}  # SReduced key -> normal form of its symbol monomial
 
@@ -431,15 +419,18 @@ def clear_caches():
 
 def reduce_to_S_form(p: Polynomial, certify=False,
                      max_degree=None) -> SReduced:
-    """Reduce an invariant polynomial; optionally certify the result by
-    exact membership of the difference in the invariance ideal, on
-    normal forms, up to degree ``max_degree`` (default
-    ``DEGREE_BOUND``)."""
+    """Reduce an invariant polynomial of degree at most
+    ``MAX_REDUCE_DEGREE``; optionally certify the result by exact
+    membership of the difference in the invariance ideal, on normal
+    forms, up to degree ``max_degree`` (default ``DEGREE_BOUND``)."""
     max_degree = DEGREE_BOUND if max_degree is None else max_degree
     d = p.degree()
     if certify and d is not None and d > max_degree:
         raise ValueError(
             f"certification bound {max_degree} below degree {d}")
+    if d is not None and d > MAX_REDUCE_DEGREE:
+        raise ValueError(
+            f"degree {d} exceeds the reduction bound {MAX_REDUCE_DEGREE}")
     sr = reduce_invariant(p)
     if certify and not _certifies(p, sr):
         raise AssertionError("reduction failed ideal certification")
@@ -558,7 +549,7 @@ def _check_cubic():
     bad = (t * t * t - s2 * t * t * 3 + s2 * t * 3
            - (s2 * s2 * s2 + c * c * c))
     res = member(bad, gset)
-    ab4 = abelianize(bad.homogeneous_component(4))
+    ab4 = abelianize(bad.homogeneous_components()[4])
     out.append(_unit(
         "n3_cubic_misprint_rejected", N, 6, (not res.member)
         and not ab4.is_zero(),

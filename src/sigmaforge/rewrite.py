@@ -10,12 +10,11 @@ products of atom orbit sums.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import cyclic
 from .atoms import factor_atoms, is_atom, orbit_max
-from .ring import (InternalError, Monomial, ONE, Polynomial, Terms, _runs,
-                   render_monomial, render_terms)
+from .ring import (MAX_TERMS, InternalError, Monomial, ONE, Polynomial,
+                   Terms, _runs, power_exceeds_bound, render_monomial,
+                   render_terms)
 
 
 class AtomExpression(Terms):
@@ -123,7 +122,9 @@ def orbit_product(orbits: dict, b: Monomial, n: int) -> dict:
 def rewrite_invariant(p: Polynomial) -> AtomExpression:
     """Expansion of an invariant polynomial over atom orbit sums: each
     orbit's coefficient times its ``_orbit_expansion``, the constant
-    term under ``()``; unique, as that basis is unitriangular."""
+    term under ``()``; unique, as that basis is unitriangular.  An
+    orbit of k atoms expands into n^(k-1) keys, and one of more than
+    ``MAX_TERMS`` is refused with ValueError before it is expanded."""
     n = p.arity
     if n < 2:
         raise ValueError("rewriting needs at least two letters")
@@ -133,6 +134,11 @@ def rewrite_invariant(p: Polynomial) -> AtomExpression:
             terms[()] = c
             continue
         factors = tuple(factor_atoms(rep, n))
+        if power_exceeds_bound(n, len(factors) - 1):
+            raise ValueError(
+                f"the orbit of {render_monomial(rep)} expands into more "
+                f"than {MAX_TERMS} products at n={n}; refusing to "
+                "expand it")
         expansion = _orbit_expansion(factors, n)
         if (len(expansion) != n ** (len(factors) - 1)
                 or expansion.get(factors) != 1):
@@ -167,31 +173,3 @@ def _orbit_expansion(factors: tuple, n: int) -> dict:
     return {done + (Monomial._trusted(cur),):
             (-1) ** (len(factors) - 1 - len(done))
             for done, cur in states}
-
-
-def sigma_alpha_decomposition(n: int, k: int) -> dict:
-    """Orbit-sum coefficients of the shift-averaged k-th sum.
-
-    Summing the k-th increasing-word sum over the whole shift group
-    gives an exact combination of orbit sums whose coefficient at each
-    orbit is the number of strictly increasing words it contains; both
-    sides are computed independently and compared before returning
-    {representative: coefficient}.
-    """
-    from .sigma import build_sigma
-
-    sk = build_sigma(n, k)
-    total = Polynomial.zero(n)
-    for r in range(n):
-        total = total + cyclic.act(r, sk, n)
-    got = orbit_decompose(total)
-    expected = {}
-    for rep, c in got.items():
-        rising = sum(
-            1 for w in cyclic.orbit(rep, n)
-            if all(a < b for a, b in zip(w, w[1:])))
-        expected[rep] = Fraction(rising)
-    if got != expected:
-        raise AssertionError(
-            "orbit coefficients disagree with increasing-word counts")
-    return got

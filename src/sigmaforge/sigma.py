@@ -1,10 +1,9 @@
 """Elementary polynomials in noncommuting variables.
 
-The degree-k elementary polynomial on an ordered list of generators is
-the sum of all strictly position-increasing k-letter words.  Both
-one-sided recursions (peeling the first or the last generator) are
-implemented over arbitrary ordered index lists, which is what makes the
-shifted instances of the recursion available to other modules.
+The degree-k elementary polynomial on x1..xn is the sum of the
+strictly increasing k-letter words.  Its commutative image, the
+characteristic identities it satisfies and the independence of its
+power products live here too.
 """
 
 from __future__ import annotations
@@ -13,66 +12,38 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .ring import (InternalError, Monomial, Polynomial, Terms, integral,
-                   render_terms)
-
-
-def sigma_on(letters, k: int, n: int) -> Polynomial:
-    """Sum of increasing-position k-subword products of ``letters``."""
-    letters = tuple(letters)
-    if k < 0 or k > len(letters):
-        return Polynomial.zero(n)
-    if k == 0:
-        return Polynomial.one(n)
-    terms = {}
-    for combo in itertools.combinations(letters, k):
-        m = Monomial(combo)
-        terms[m] = terms.get(m, Fraction(0)) + 1
-    return Polynomial(terms, n)
+from .ring import (MAX_TERMS, InternalError, Monomial, Polynomial, Terms,
+                   integral, render_terms)
 
 
 @lru_cache(maxsize=None)
 def build_sigma(n: int, k: int) -> Polynomial:
-    """The k-th elementary polynomial on x1..xn; 1 for k=0, 0 outside 0..n."""
+    """The k-th elementary polynomial on x1..xn, the sum of its C(n, k)
+    increasing words; 1 for k=0, 0 outside 0..n.  One of more than
+    ``MAX_TERMS`` terms is refused with ValueError before any word is
+    listed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return sigma_on(range(1, n + 1), k, n)
+    if not 0 <= k <= n:
+        return Polynomial.zero(n)
+    # C(n, j) grows with j up to n/2 and passes the bound within its
+    # bit length, so this loop is short whatever n is
+    count = 1
+    for j in range(1, min(k, n - k) + 1):
+        count = count * (n - j + 1) // j
+        if count > MAX_TERMS:
+            raise ValueError(
+                f"sigma_{k} at n={n} has more than {MAX_TERMS} terms; "
+                "refusing to build it")
+    one = Fraction(1)
+    return Polynomial._trusted(
+        {Monomial._trusted(w): one
+         for w in itertools.combinations(range(1, n + 1), k)}, n)
 
 
 def clear_caches():
     """Drop the cached elementary polynomials."""
     build_sigma.cache_clear()
-
-
-def sigma_via_recursion_first(letters, k: int, n: int) -> Polynomial:
-    """Peel the first generator: s_k(L) = L0 * s_{k-1}(L') + s_k(L')."""
-    letters = tuple(letters)
-    if k < 0 or k > len(letters):
-        return Polynomial.zero(n)
-    if k == 0:
-        return Polynomial.one(n)
-    head, rest = letters[0], letters[1:]
-    return (Polynomial.word([head], n)
-            * sigma_via_recursion_first(rest, k - 1, n)
-            + sigma_via_recursion_first(rest, k, n))
-
-
-def sigma_via_recursion_last(letters, k: int, n: int) -> Polynomial:
-    """Peel the last generator: s_k(L) = s_{k-1}(L') * Llast + s_k(L')."""
-    letters = tuple(letters)
-    if k < 0 or k > len(letters):
-        return Polynomial.zero(n)
-    if k == 0:
-        return Polynomial.one(n)
-    rest, tail = letters[:-1], letters[-1]
-    return (sigma_via_recursion_last(rest, k - 1, n)
-            * Polynomial.word([tail], n)
-            + sigma_via_recursion_last(rest, k, n))
-
-
-def cyclic_letters(n: int, start: int) -> tuple:
-    """n-1 indices start, start+1, ..., wrapping mod n (one index left out)."""
-    return tuple((start - 1 + t) % n + 1 for t in range(n - 1))
 
 
 # -- commutative image ----------------------------------------------

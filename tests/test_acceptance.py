@@ -11,6 +11,11 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from oracles import (
+    sigma_alpha_decomposition,
+    sigma_via_recursion_first,
+    sigma_via_recursion_last,
+)
 from sigmaforge import cyclic, ideal, matmodel, n3lab, rewrite
 from sigmaforge.atoms import (
     enumerate_atoms,
@@ -19,11 +24,7 @@ from sigmaforge.atoms import (
     semigroup_product,
 )
 from sigmaforge.ring import Monomial, Polynomial, basis_words, parse_poly
-from sigmaforge.sigma import (
-    build_sigma,
-    sigma_via_recursion_first,
-    sigma_via_recursion_last,
-)
+from sigmaforge.sigma import build_sigma
 
 
 @contextmanager
@@ -186,7 +187,7 @@ def test_09_rewriter_worked_examples_and_roundtrip():
                     rng.randint(-6, 6), rng.randint(1, 3))
             expr = rewrite.rewrite_invariant(p)
             assert expr.evaluate() == p
-        table = {k: sorted(map(int, rewrite.sigma_alpha_decomposition(4, k)
+        table = {k: sorted(map(int, sigma_alpha_decomposition(4, k)
                                .values()), reverse=True)
                  for k in (2, 3, 4)}
         assert table == {2: [3, 2, 1], 3: [2, 1, 1], 4: [1]}

@@ -4,6 +4,7 @@ import importlib
 import pkgutil
 
 import sigmaforge
+from oracles import expand_to_ring
 from sigmaforge import atoms, cyclic, ideal, n3lab
 from sigmaforge.ring import Monomial, parse_poly
 
@@ -37,7 +38,7 @@ def fill():
                  * n3lab.reduce_orbit(Monomial.from_letters([1, 3, 1])))
     reductions = [n3lab.reduce_invariant(inv),
                   n3lab.reduce_orbit(Monomial.from_letters([1, 2, 3, 1, 3])),
-                  n3lab.expand_to_ring(n3lab.reduce_invariant(inv)),
+                  expand_to_ring(n3lab.reduce_invariant(inv)),
                   d_product,
                   # certified on the cached symbol normal forms
                   n3lab.reduce_to_S_form(inv, certify=True)]

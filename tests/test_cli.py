@@ -223,6 +223,42 @@ def test_member_refuses_a_slice_past_the_column_bound(capsys, polynomial):
     assert "531441 word columns" in err
 
 
+@pytest.mark.parametrize("argv,message,seconds", [
+    (("sigma", "22", "11"), "sigma_11 at n=22 has more than 531441 terms", 1),
+    (("sigma", "1000000000", "500000000"),
+     "sigma_500000000 at n=1000000000 has more than 531441 terms", 1),
+    # sigma_1..sigma_4 at n=40 are built before sigma_5 is refused
+    (("verify", "cor_1_4", "--n", "40"),
+     "sigma_5 at n=40 has more than 531441 terms", 5),
+    (("atoms", "--n", "3", "--degree", "21"),
+     "n=3 has more than 531441 atoms of degree 21", 1),
+    (("atoms", "--n", "3", "--degree", "1000000"),
+     "n=3 has more than 531441 atoms of degree 1000000", 1),
+    (("rewrite", "x1^14 + x2^14 + x3^14", "--n", "3"),
+     "the orbit of x1^14 expands into more than 531441 products", 1),
+    (("n3", "reduce", "x1^17 + x2^17 + x3^17", "--no-certify"),
+     "degree 17 exceeds the reduction bound 16", 1),
+    (("n3", "reduce", "x1^2000 + x2^2000 + x3^2000", "--no-certify"),
+     "degree 2000 exceeds the reduction bound 16", 1),
+    (("n3", "reduce", "x1^17 + x2^17 + x3^17", "--max-degree", "17"),
+     "degree 17 exceeds the reduction bound 16", 1),
+], ids=["sigma", "sigma_huge_n", "cor_1_4_n40", "atoms", "atoms_huge_degree",
+        "rewrite", "n3_reduce_17", "n3_reduce_2000", "n3_reduce_17_certified"])
+def test_outside_input_blowups_are_refused(capsys, argv, message, seconds):
+    """A request that would list more than ring.MAX_TERMS = 3^12 words
+    or terms, or reduce past degree 16, is refused before that work."""
+    from sigmaforge import sigma
+
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        sigma.clear_caches()  # drop the n=40 sums
+    assert time.perf_counter() - start < seconds
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message)
+
+
 def test_member_pass_and_fail(capsys):
     gen = difference_generators(3).gens[0]
     code, out, _ = run(capsys, "member", render_poly(gen), "--n", "3")

@@ -1,15 +1,19 @@
 import pytest
 from fractions import Fraction
 
-from sigmaforge.cyclic import (
-    act, average, is_invariant, orbit, orbit_polynomial,
-)
+from sigmaforge.cyclic import act, orbit, orbit_polynomial
 from sigmaforge.ring import Monomial, Polynomial, variable_commutator
 from sigmaforge.sigma import build_sigma
 
 
 def M(*letters):
     return Monomial.from_letters(letters)
+
+
+def shift_sum(p):
+    """The sum of act(r, p, n) over the n rotations r."""
+    n = p.arity
+    return sum((act(r, p, n) for r in range(n)), Polynomial.zero(n))
 
 
 def test_action_convention_on_sigma3():
@@ -51,7 +55,7 @@ def test_orbit_has_n_distinct_members():
 
 def test_orbit_polynomial_invariant():
     p = orbit_polynomial(M(1, 2, 1), 3)
-    assert is_invariant(p)
+    assert act(1, p, 3) == p
     assert len(p.terms) == 3
 
 
@@ -60,19 +64,20 @@ def test_average_examples():
     c = variable_commutator(1, 2, 3)
     want = (orbit_polynomial(M(1, 2), 3) - orbit_polynomial(M(1, 3), 3)) \
         * Fraction(1, 3)
-    assert average(c) == want
-    assert is_invariant(average(c))
+    assert shift_sum(c) * Fraction(1, 3) == want
+    assert act(1, want, 3) == want
 
 
 def test_average_fixes_invariants():
     p = orbit_polynomial(M(1, 3, 2), 3) * 5 + orbit_polynomial(M(1, 2), 3)
-    assert average(p) == p
+    assert shift_sum(p) == p * 3
 
 
 def test_sigma_not_invariant_but_average_of_shifts():
     s2 = build_sigma(3, 2)
-    assert not is_invariant(s2)
-    total = Polynomial.zero(3)
-    for r in range(3):
-        total = total + act(r, s2, 3)
-    assert average(s2) * 3 == total
+    assert act(1, s2, 3) != s2
+    # each orbit counts its increasing words: x1*x2 and x2*x3 in the
+    # orbit of x1*x2, x1*x3 in its own
+    total = orbit_polynomial(M(1, 2), 3) * 2 + orbit_polynomial(M(1, 3), 3)
+    assert shift_sum(s2) == total
+    assert act(1, total, 3) == total

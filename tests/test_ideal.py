@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import spans_equal
 from sigmaforge import ideal
 from sigmaforge.ideal import (
     canonical_quadratic,
@@ -16,7 +17,6 @@ from sigmaforge.ideal import (
     quotient_dim,
     reconstruct_quadratic,
     run_check,
-    spans_equal,
 )
 from sigmaforge.ring import (
     InternalError,

@@ -23,7 +23,6 @@ from sigmaforge.matmodel import (
     cyclic_permutation_matrix,
     eval_sigmas,
     examine_tuple,
-    identity_matrix,
     is_zero_matrix,
     mat_add,
     mat_commutator,
@@ -32,9 +31,23 @@ from sigmaforge.matmodel import (
     mat_sub,
     random_tuple,
     zero_divisor_search,
-    zero_matrix,
 )
 from sigmaforge.ring import integral
+
+
+def identity_matrix(dim: int) -> tuple:
+    return tuple(tuple(1 if i == j else 0 for j in range(dim))
+                 for i in range(dim))
+
+
+def zero_matrix(dim: int) -> tuple:
+    return tuple((0,) * dim for _ in range(dim))
+
+
+def rotated(t: MatrixTuple, r: int = 1) -> MatrixTuple:
+    """Circular shift: entry i of the result is matrix i + r."""
+    r %= t.n
+    return MatrixTuple(t.n, t.dim, t.mats[r:] + t.mats[:r])
 
 
 def from_mats(mats) -> MatrixTuple:
@@ -132,7 +145,7 @@ def _c12_word_by_word(t):
     sigmas = [eval_sigma_matrices(t, k) for k in range(1, t.n + 1)]
     invariant = True
     for r in range(1, t.n):
-        rot = t.rotated(r)
+        rot = rotated(t, r)
         for k in range(1, t.n + 1):
             if eval_sigma_matrices(rot, k) != sigmas[k - 1]:
                 invariant = False
@@ -509,7 +522,7 @@ def test_matrix_tuple_validation():
 def test_matrix_tuple_is_an_immutable_value():
     t = from_mats(CANDIDATE.mats)
     assert t == CANDIDATE and hash(t) == hash(CANDIDATE)
-    assert t != t.rotated() and t != CANDIDATE.mats
+    assert t != rotated(t) and t != CANDIDATE.mats
     assert repr(t).startswith("MatrixTuple(n=3, dim=2, mats=(((-2, -2),")
     with pytest.raises(AttributeError):
         t.n = 4
@@ -519,8 +532,8 @@ def test_matrix_tuple_is_an_immutable_value():
 
 def test_rotation():
     t = random_tuple("dense", 3, 2, random.Random(3))
-    assert t.rotated(3).mats == t.mats
-    assert t.rotated(1).mats == (t.mats[1], t.mats[2], t.mats[0])
+    assert rotated(t, 3).mats == t.mats
+    assert rotated(t, 1).mats == (t.mats[1], t.mats[2], t.mats[0])
 
 
 def test_search_commuting_family_has_no_candidates():
@@ -580,9 +593,8 @@ t = matmodel.MatrixTuple(
     3, 2, [((1, 0), (0, 2)), ((3, 0), (0, 4)), ((5, 0), (0, 6))])
 # the tuple itself gets identity sigmas (which commute with everything),
 # every rotation gets zero sigmas: the two verdicts must disagree
-matmodel.eval_sigmas = lambda mats: [
-    (matmodel.identity_matrix if mats == t.mats
-     else matmodel.zero_matrix)(t.dim)] * t.n
+eye, zero = ((1, 0), (0, 1)), ((0, 0), (0, 0))
+matmodel.eval_sigmas = lambda mats: [eye if mats == t.mats else zero] * t.n
 try:
     matmodel.check_c12(t)
 except AssertionError:

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import expand_to_ring
 from sigmaforge import cyclic, n3lab
 from sigmaforge.ideal import commutator_generators, degree_slice, member
 from sigmaforge.n3lab import (
     SReduced,
     base_table,
     c_element,
-    expand_to_ring,
     extra_symbol_poly,
     reduce_invariant,
     reduce_orbit,

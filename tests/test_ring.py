@@ -387,3 +387,56 @@ def test_no_call_unpacks_a_generator():
                           if isinstance(arg, ast.Starred)
                           and isinstance(arg.value, ast.GeneratorExp)]
     assert found == []
+
+
+# public names no code under src or perfbench reaches, each kept for a reason
+UNREACHED_ALLOWED = {
+    "clear_caches": "the package's explicit reset of every cache",
+    "pivots": "an accessor of the RowSpace value type",
+    "coefficient": "an accessor of the Polynomial value type",
+}
+
+
+def _names(tree, strings=False) -> list:
+    """Every ast.Name id and ast.Attribute attr under ``tree``, and its
+    string constants when ``strings`` is set."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            out.append(node.value)
+    return out
+
+
+def test_no_public_name_serves_only_the_tests():
+    """Every public top-level function and class method of the package
+    is named in ``src`` outside its own body, or in ``perfbench``, where
+    a string constant also counts (the tracer names methods by string).
+    A helper only tests call, such as a reference route, lives under
+    ``tests``, where it cannot drift with the code it checks."""
+    root = Path(__file__).resolve().parents[1]
+    trees = {p: ast.parse(p.read_text())
+             for p in sorted((root / "src" / "sigmaforge").glob("*.py"))}
+    assert len(trees) > 5
+    used = {}
+    for tree in trees.values():
+        for name in _names(tree):
+            used[name] = used.get(name, 0) + 1
+    perfbench = {name for p in sorted((root / "perfbench").glob("*.py"))
+                 for name in _names(ast.parse(p.read_text()), strings=True)}
+    defs = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            defs += [(path.name, d) for d in body
+                     if isinstance(d, ast.FunctionDef)
+                     and not d.name.startswith("_")]
+    unreached = sorted(
+        (name, d.name) for name, d in defs
+        if used.get(d.name, 0) == _names(d).count(d.name)
+        and d.name not in perfbench and d.name not in UNREACHED_ALLOWED)
+    assert unreached == []

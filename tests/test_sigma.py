@@ -1,12 +1,15 @@
 import itertools
 import math
 
+from oracles import (
+    cyclic_letters, sigma_on, sigma_via_recursion_first,
+    sigma_via_recursion_last,
+)
 from sigmaforge.cyclic import act
 from sigmaforge.ring import Monomial, Polynomial, parse_poly
 from sigmaforge.sigma import (
-    CommPoly, abelianize, build_sigma, char_poly_image, cyclic_letters,
+    CommPoly, abelianize, build_sigma, char_poly_image,
     elementary_symmetric, factored_char_coefficients, inverse_identity_image,
-    sigma_on, sigma_via_recursion_first, sigma_via_recursion_last,
     verify_sigma_independence,
 )
 

@@ -10,9 +10,13 @@ bad-input table also holds the rows ``linalg.RowSpace`` refuses: a
 row is a {column: int} dict with ``int`` columns, and a ``Fraction`` or
 ``float`` entry is refused rather than truncated.  It also holds the
 monomial ``cyclic.act`` refuses, one with a letter beyond the arity,
-whose trusted image would be a wrong word, and the degree slice
-``ideal.degree_slice`` refuses, one of more than ``MAX_SLICE_COLUMNS``
-word columns.  A bool is not a letter, and
+whose trusted image would be a wrong word, and the requests refused
+for listing more than ``ring.MAX_TERMS`` words or terms: a degree
+slice of more word columns (``ideal.degree_slice``), a sigma of more
+terms (``sigma.build_sigma``), more atoms of one degree
+(``atoms.enumerate_atoms``) and an orbit expansion of more keys
+(``rewrite.rewrite_invariant``); and the n=3 reduction past
+``n3lab.MAX_REDUCE_DEGREE``.  A bool is not a letter, and
 a float is not a coefficient: both are refused, not read as 1 or as the
 float's binary fraction.
 """
@@ -30,11 +34,11 @@ from sigmaforge.atoms import enumerate_atoms
 from sigmaforge.cyclic import act
 from sigmaforge.ideal import commutator_generators, degree_slice
 from sigmaforge.linalg import RowSpace
-from sigmaforge.n3lab import SReduced
-from sigmaforge.rewrite import AtomExpression
+from sigmaforge.n3lab import SReduced, reduce_to_S_form
+from sigmaforge.rewrite import AtomExpression, rewrite_invariant
 from sigmaforge.ring import (ONE, Monomial, Polynomial, parse_monomial,
                              parse_poly, render_monomial)
-from sigmaforge.sigma import CommPoly
+from sigmaforge.sigma import CommPoly, build_sigma
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -113,6 +117,18 @@ BAD_INPUTS = [
      lambda: degree_slice(commutator_generators(3), 13), ValueError),
     ("slice_past_column_bound_huge_degree",
      lambda: degree_slice(commutator_generators(3), 10 ** 6), ValueError),
+    ("sigma_past_term_bound", lambda: build_sigma(22, 11), ValueError),
+    ("sigma_past_term_bound_huge_n",
+     lambda: build_sigma(10 ** 9, 5 * 10 ** 8), ValueError),
+    ("atoms_past_term_bound", lambda: enumerate_atoms(3, 21), ValueError),
+    ("atoms_past_term_bound_huge_degree",
+     lambda: enumerate_atoms(3, 10 ** 6), ValueError),
+    ("orbit_expansion_past_term_bound",
+     lambda: rewrite_invariant(parse_poly("x1^14 + x2^14 + x3^14", 3)),
+     ValueError),
+    ("n3_reduction_past_degree_bound",
+     lambda: reduce_to_S_form(parse_poly("x1^17 + x2^17 + x3^17", 3)),
+     ValueError),
 ]
 
 
