@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import InternalError, Monomial, Polynomial
+from .ring import MAX_TERMS, InternalError, Monomial, Polynomial
 
 
 def act(r: int, obj, n: int):
@@ -36,9 +36,14 @@ def act(r: int, obj, n: int):
 
 
 def orbit(m: Monomial, n: int) -> list:
-    """The n distinct images of a nonunit monomial."""
+    """The n distinct images of a nonunit monomial; an orbit of more
+    than ``MAX_TERMS`` members is refused with ValueError before any of
+    them is built."""
     if m.is_unit():
         raise ValueError("the unit monomial has no orbit here")
+    if n > MAX_TERMS:
+        raise ValueError(f"an orbit at n={n} has {n} members, more than "
+                         f"{MAX_TERMS}; refusing to list it")
     if m.max_index() > n:
         raise ValueError(f"monomial exceeds arity {n}")
     out = [act(r, m, n) for r in range(n)]

@@ -10,11 +10,16 @@ a model is recorded evidence, never a proof in either direction.
 
 Every sigma_k of a tuple is a coefficient of one ordered product,
 E(y) = (I + M_1 y)...(I + M_n y), the lambda series of noncommutative
-symmetric functions. eval_sigmas builds E(y) suffix by suffix with
+symmetric functions. suffix_sigmas builds E(y) suffix by suffix with
 sigma_k(M_i..M_n) = M_i sigma_{k-1}(M_{i+1}..M_n) + sigma_k(M_{i+1}..M_n),
 in n(n-1)/2 matrix products for all k together: 6 at n=4, against 17
 for the sums over index words of the definition, which the tests keep
-as the reference.
+as the reference. Rotation r of the tuple has the product
+S_r(y) P_r(y), the suffix series from M_{r+1} times the prefix series
+(I + M_1 y)...(I + M_r y), so check_c12 reads every rotation off the
+suffix stages and one growing prefix: (n - r) r + r - 1 products for
+rotation r, 13 at n=4 for all three rotations, against 3 * 6 = 18
+when each rotation is evaluated from scratch.
 
 All arithmetic is exact: entries are ints or Fractions, singularity is
 decided by exact rank. mat_rank is fraction-free (Bareiss) elimination
@@ -23,13 +28,14 @@ of its own, so no verdict of this module goes through linalg.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .ring import integral
+from .ring import MAX_TERMS, integral
 
 FAMILIES = ("commuting", "conj-cyclic", "block-triangular", "dense")
 
@@ -128,9 +134,12 @@ class MatrixTuple(namedtuple("MatrixTuple", "n dim mats")):
         return super().__new__(cls, n, dim, tuple(frozen))
 
 
-def eval_sigmas(mats) -> list:
-    """[sigma_1, ..., sigma_n] of the ordered square matrices ``mats``:
-    the coefficients of y^1..y^n in E(y) = (I + M_1 y)...(I + M_n y).
+def suffix_sigmas(mats) -> list:
+    """The suffix stages of E(y) = (I + M_1 y)...(I + M_n y) for the
+    ordered square matrices ``mats``: entry i is [sigma_1, ...,
+    sigma_{n-i}] of the suffix M_{i+1}..M_n, the coefficients of
+    y^1..y^{n-i} in (I + M_{i+1} y)...(I + M_n y). Entry 0 holds the
+    sigmas of ``mats``.
 
     Built by the suffix recursion of the module docstring, where
     sigma_0 = I and sigma_k = 0 on a suffix shorter than k. Those two
@@ -139,13 +148,22 @@ def eval_sigmas(mats) -> list:
     ``MatrixTuple.mats``, is not validated.
     """
     *rest, last = mats
-    sigmas = [last]
+    stages = [[last]]
     for m in reversed(rest):
-        sigmas = ([mat_add(m, sigmas[0])]
-                  + [mat_add(mat_mul(m, a), b)
-                     for a, b in zip(sigmas, sigmas[1:])]
-                  + [mat_mul(m, sigmas[-1])])
-    return sigmas
+        s = stages[-1]
+        stages.append([mat_add(m, s[0])]
+                      + [mat_add(mat_mul(m, a), b) for a, b in zip(s, s[1:])]
+                      + [mat_mul(m, s[-1])])
+    stages.reverse()
+    return stages
+
+
+def _c12_products(n: int) -> int:
+    """The matrix products check_c12 makes on an invariant tuple of n
+    matrices, its most expensive kind: n(n-1)/2 for the suffix stages,
+    (n - r) r + r - 1 for rotation r, (n^3 - n)/6 + (n-1)(n-2)/2 over
+    all r, and 2n^2 for the commuting verdict."""
+    return (n - 1) ** 2 + (n ** 3 - n) // 6 + 2 * n * n
 
 
 def check_c12(t: MatrixTuple) -> tuple:
@@ -156,20 +174,45 @@ def check_c12(t: MatrixTuple) -> tuple:
     of the tuple. Disagreement would falsify the equivalence, so it is
     an assertion failure rather than a return value.
 
-    The sigmas of the tuple, then of each shift in turn until one
-    differs, come from eval_sigmas as the coefficients of
-    E(y) = (I + M_1 y)...(I + M_n y), built by
-    sigma_k(M_i..M_n) = M_i sigma_{k-1}(M_{i+1}..M_n) + sigma_k(M_{i+1}..M_n)
-    in n(n-1)/2 matrix products per tuple or shift. Summing each
-    sigma_k over its index words would take
-    sum_k C(n,k)(k-1) = (n-2)2^(n-1) + 1. The commuting verdict takes
-    2n^2 more. On an invariant tuple with n=4 that is 4 * 6 + 32 = 56
-    products, against 4 * 17 + 32 = 100 word by word.
+    The sigmas are entry 0 of suffix_sigmas, in n(n-1)/2 products.
+    Rotation r, M_{r+1}..M_n M_1..M_r, has E_r(y) = S_r(y) P_r(y) with
+    S_r the suffix stage r and P_r(y) = (I + M_1 y)...(I + M_r y), grown
+    from P_{r-1} in r - 1 products. Its y^k coefficient is
+    sum_{a+b=k} S_r[a] P_r[b] with S_r[0] = P_r[0] = I, which makes
+    (n - r) r products over all k; the rotations are checked in turn,
+    each for k = 1, 2, ... up to its first coefficient that differs
+    from sigma_k. The commuting verdict takes 2n^2 products more. On an
+    invariant tuple with n=4 that is 6 + 13 + 32 = 51 products, against
+    4 * 6 + 32 = 56 with every rotation evaluated from scratch.
     """
     mats = t.mats
-    sigmas = eval_sigmas(mats)
-    invariant = all(eval_sigmas(mats[r:] + mats[:r]) == sigmas
-                    for r in range(1, t.n))
+    n = t.n
+    stages = suffix_sigmas(mats)
+    sigmas = stages[0]
+    invariant = True
+    prefix = []  # y^1..y^r of P_r(y)
+    for r in range(1, n):
+        m = mats[r - 1]
+        if prefix:
+            prefix = ([mat_add(prefix[0], m)]
+                      + [mat_add(b, mat_mul(a, m))
+                         for a, b in zip(prefix, prefix[1:])]
+                      + [mat_mul(prefix[-1], m)])
+        else:
+            prefix = [m]
+        suffix = stages[r]  # y^1..y^(n-r) of S_r(y)
+        for k in range(1, n + 1):
+            terms = [mat_mul(suffix[a - 1], prefix[k - a - 1])
+                     for a in range(max(1, k - r), min(k - 1, n - r) + 1)]
+            if k <= n - r:
+                terms.append(suffix[k - 1])
+            if k <= r:
+                terms.append(prefix[k - 1])
+            if functools.reduce(mat_add, terms) != sigmas[k - 1]:
+                invariant = False
+                break
+        if not invariant:
+            break
     commuting = all(mat_mul(s, m) == mat_mul(m, s)
                     for s in sigmas for m in mats)
     if invariant != commuting:
@@ -291,6 +334,9 @@ def zero_divisor_search(params) -> dict:
     examined tuples on which the relations hold while at least one
     pair fails to commute; for each one, every ordered product of two
     nonzero commutators is tested for vanishing and for singularity.
+    A search whose relation checks could take more than ``MAX_TERMS``
+    matrix products (budget times those of an invariant tuple) is
+    refused with ValueError before any tuple is drawn.
     """
     n = int(params["n"])
     dim = int(params["dim"])
@@ -304,6 +350,11 @@ def zero_divisor_search(params) -> dict:
         raise ValueError("n and dim must be positive")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    cost = budget * _c12_products(n)
+    if cost > MAX_TERMS:
+        raise ValueError(
+            f"{budget} tuples of {n} matrices take up to {cost} matrix "
+            f"products to check, more than {MAX_TERMS}; refusing to search")
     rng = random.Random(seed)
     # examine_tuple never draws from rng: tuple i is the seed's i-th draw
     results = [examine_tuple(random_tuple(family, n, dim, rng), i)

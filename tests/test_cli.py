@@ -166,6 +166,10 @@ SEARCH_DENSE = ("search", "--n", "4", "--dim", "3", "--family", "dense",
      "7135c11410da9129a990899cabed1c9dca21f0b6ca20463f8ad82ee87f854e43"),
     (SEARCH_DENSE + ("--output", "json"), 0,
      "16215f60c865a8efad5b28279eabb3e895df907893454e1dbc6f096ab17a56bd"),
+    # the largest n the search accepts at budget 1 is 141
+    (("search", "--n", "80", "--dim", "2", "--family", "commuting",
+      "--budget", "1"), 0,
+     "a0b5f59a70f1a30aaa44c1ffb86d6b1c24022fc37fe2793a7314ca7bca9aa4dc"),
     # a usage error prints nothing on stdout: the digest of b""
     (("sigma", "2", "1", "--output", "text"), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -174,7 +178,7 @@ SEARCH_DENSE = ("search", "--n", "4", "--dim", "3", "--family", "dense",
         "n3-reduce-text", "n3-reduce-json", "n3-reduce-certified",
         "search-text", "search-json", "search-readme-text",
         "search-readme-json", "search-dense-text", "search-dense-json",
-        "sigma-n2"])
+        "search-n80", "sigma-n2"])
 def test_word_commands_stdout_is_pinned(capsys, argv, code, digest):
     """sha256 of the whole stdout and the exit code.  The JSON rows of
     verify, member, orbit, factor and atoms were taken before monomials
@@ -182,7 +186,8 @@ def test_word_commands_stdout_is_pinned(capsys, argv, code, digest):
     printed through one output path: neither change shows in the
     output.  The search rows were taken when the "budget exhausted"
     line and the ``budget_exhausted`` key went; before, that line or
-    key, printed on every run, was the only difference."""
+    key, printed on every run, was the only difference.  The n=80 row
+    was taken while every rotation was evaluated from scratch."""
     got, out, _ = run(capsys, *argv)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -242,11 +247,19 @@ def test_member_refuses_a_slice_past_the_column_bound(capsys, polynomial):
      "degree 2000 exceeds the reduction bound 16", 1),
     (("n3", "reduce", "x1^17 + x2^17 + x3^17", "--max-degree", "17"),
      "degree 17 exceeds the reduction bound 16", 1),
+    (("orbit", "x1*x2", "--n", "600000"),
+     "an orbit at n=600000 has 600000 members, more than 531441", 1),
+    (("search", "--n", "1000", "--family", "dense", "--budget", "100"),
+     "100 tuples of 1000 matrices take up to 16966450100 matrix products", 1),
+    (("search", "--n", "80", "--family", "commuting", "--budget", "6"),
+     "6 tuples of 80 matrices take up to 626166 matrix products", 1),
 ], ids=["sigma", "sigma_huge_n", "cor_1_4_n40", "atoms", "atoms_huge_degree",
-        "rewrite", "n3_reduce_17", "n3_reduce_2000", "n3_reduce_17_certified"])
+        "rewrite", "n3_reduce_17", "n3_reduce_2000", "n3_reduce_17_certified",
+        "orbit_huge_n", "search_huge_n", "search_n80_budget6"])
 def test_outside_input_blowups_are_refused(capsys, argv, message, seconds):
     """A request that would list more than ring.MAX_TERMS = 3^12 words
-    or terms, or reduce past degree 16, is refused before that work."""
+    or terms, check that many matrix products in a search, or reduce
+    past degree 16, is refused before that work."""
     from sigmaforge import sigma
 
     start = time.perf_counter()

@@ -21,7 +21,6 @@ from sigmaforge.matmodel import (
     MatrixTuple,
     check_c12,
     cyclic_permutation_matrix,
-    eval_sigmas,
     examine_tuple,
     is_zero_matrix,
     mat_add,
@@ -30,6 +29,7 @@ from sigmaforge.matmodel import (
     mat_rank,
     mat_sub,
     random_tuple,
+    suffix_sigmas,
     zero_divisor_search,
 )
 from sigmaforge.ring import integral
@@ -60,7 +60,7 @@ def from_mats(mats) -> MatrixTuple:
 
 def eval_sigma_matrices(t: MatrixTuple, k: int):
     """sigma_k by its definition: the sum of the ordered products over
-    strictly increasing index words; the reference for eval_sigmas."""
+    strictly increasing index words; the reference for suffix_sigmas."""
     if not 0 <= k <= t.n:
         raise ValueError(f"k must lie in 0..{t.n}, got {k}")
     if k == 0:
@@ -80,6 +80,25 @@ CANDIDATE = from_mats((
     ((-2, 1), (0, -2)),
     ((-1, 1), (0, -2)),
 ))
+
+# frozen from seeded block-triangular scans at dim 2: rotations 1..r-1
+# keep the sigmas and rotation r is the first to change them, so the
+# verdict rests on a grown prefix
+FIRST_CHANGED_AT = [
+    (2, from_mats((((-3, 0), (0, -3)), ((2, 1), (0, -1)),
+                   ((1, 0), (0, 2)), ((2, -2), (0, -1))))),
+    (3, from_mats((((-2, 0), (0, -2)), ((-2, 0), (0, -2)),
+                   ((-1, 1), (0, 1)), ((-1, 1), (0, 2))))),
+    (2, from_mats((((1, 0), (0, 1)), ((3, 1), (0, -2)), ((-2, -3), (0, -1)),
+                   ((1, 2), (0, -3)), ((0, -2), (0, -2))))),
+    (3, from_mats((((-1, 3), (0, -1)), ((1, 0), (0, 1)), ((-3, -2), (0, -2)),
+                   ((-1, 1), (0, -1)), ((-2, 2), (0, -3))))),
+    (4, from_mats((((2, 0), (0, 2)), ((0, 0), (0, 0)), ((-1, 0), (0, -1)),
+                   ((-2, -1), (0, 2)), ((0, -2), (0, 0))))),
+]
+# relations hold, no pair commutes, n=4 and dim 2: frozen from the same scan
+CANDIDATE_N4 = from_mats((((0, -3), (0, 3)), ((-2, 2), (0, 0)),
+                          ((-3, 0), (0, -2)), ((3, 1), (0, -3))))
 
 
 def test_sigma_zero_is_identity():
@@ -133,10 +152,13 @@ def test_recursion_route_matches_definition():
         (((0, 0), (0, 0)), a, ((1, 0), (0, 1))),
     )]
     for t in tuples:
-        sigmas = eval_sigmas(t.mats)
-        assert len(sigmas) == t.n
-        for k in range(1, t.n + 1):
-            assert sigmas[k - 1] == eval_sigma_matrices(t, k), (t, k)
+        stages = suffix_sigmas(t.mats)
+        assert len(stages) == t.n
+        for i, sigmas in enumerate(stages):
+            suffix = from_mats(t.mats[i:])
+            assert len(sigmas) == t.n - i
+            for k in range(1, t.n - i + 1):
+                assert sigmas[k - 1] == eval_sigma_matrices(suffix, k), (t, i, k)
 
 
 def _c12_word_by_word(t):
@@ -169,9 +191,68 @@ def test_check_c12_matches_word_by_word_reference():
     assert seen == {(True, True), (False, False)}
 
 
-def test_check_c12_product_count(monkeypatch):
-    """An invariant n=4 tuple: 6 products for the sigmas of the tuple and
-    of each of its 3 rotations, 32 for the commuting verdict."""
+@pytest.mark.parametrize("n", range(1, 6))
+def test_check_c12_matches_reference_at_every_size(n):
+    """n = 1..5 and dims 2..4 for every family, with the invariant
+    tuples of the commuting family among them: rotation r is read off a
+    suffix of n - r matrices and a prefix of r, and every such split up
+    to n = 5 occurs."""
+    rng = random.Random(100 + n)
+    seen = set()
+    for family in FAMILIES:
+        for dim in range(2, 5):
+            for _ in range(12):
+                t = random_tuple(family, n, dim, rng)
+                got = check_c12(t)
+                assert got == _c12_word_by_word(t), t
+                seen.add((family, got))
+    assert ("commuting", (True, True)) in seen
+    if n > 1:
+        assert ("dense", (False, False)) in seen
+
+
+@pytest.mark.parametrize("r,t", FIRST_CHANGED_AT,
+                         ids=[f"n{t.n}_r{r}" for r, t in FIRST_CHANGED_AT])
+def test_check_c12_on_a_tuple_first_changed_by_a_late_rotation(r, t):
+    sigmas = suffix_sigmas(t.mats)[0]
+    changed = [s for s in range(1, t.n)
+               if suffix_sigmas(rotated(t, s).mats)[0] != sigmas]
+    assert changed[0] == r
+    assert check_c12(t) == _c12_word_by_word(t) == (False, False)
+
+
+def _diag(*v):
+    return tuple(tuple(x if i == j else 0 for j, x in enumerate(v))
+                 for i in range(len(v)))
+
+
+INVARIANT_N5 = from_mats((_diag(1, 2, 3), _diag(-1, 0, 2), _diag(3, 3, 1),
+                          _diag(2, -2, 0), _diag(0, 1, -3)))
+
+
+@pytest.mark.parametrize("t,stays", [
+    (CANDIDATE, set()),
+    (CANDIDATE_N4, set()),
+    # a diagonal entry moved keeps the tuple diagonal, so commuting
+    (INVARIANT_N5, {(0, 0), (1, 1), (2, 2)}),
+], ids=["candidate", "candidate_n4", "diagonal_n5"])
+def test_check_c12_sees_one_perturbed_entry_of_m3(t, stays):
+    """An invariant tuple with one entry of M_3 moved by one fails both
+    verdicts, as the word-by-word reference says, unless the move keeps
+    it in an invariant family.  No pair of either candidate commutes, so
+    a prefix product taken in the wrong order changes some rotation."""
+    assert check_c12(t) == _c12_word_by_word(t) == (True, True)
+    for i, j in itertools.product(range(t.dim), repeat=2):
+        m3 = [list(row) for row in t.mats[2]]
+        m3[i][j] += 1
+        mats = list(t.mats)
+        mats[2] = m3
+        bad = from_mats(mats)
+        want = (True, True) if (i, j) in stays else (False, False)
+        assert check_c12(bad) == _c12_word_by_word(bad) == want, (i, j)
+
+
+def _counting_mat_mul(monkeypatch) -> list:
     calls = []
     mul = matmodel.mat_mul
 
@@ -179,15 +260,28 @@ def test_check_c12_product_count(monkeypatch):
         calls.append(1)
         return mul(a, b)
 
-    def diag(*v):
-        return tuple(tuple(x if i == j else 0 for j, x in enumerate(v))
-                     for i in range(len(v)))
-
-    t = from_mats(
-        (diag(1, 2, 3), diag(-1, 0, 2), diag(3, 3, 1), diag(2, -2, 0)))
     monkeypatch.setattr(matmodel, "mat_mul", counted)
+    return calls
+
+
+def test_check_c12_product_count(monkeypatch):
+    """An invariant n=4 tuple: 6 products for the suffix stages, 3 + 5 + 5
+    for its 3 rotations ((4 - r) r for the coefficients of rotation r,
+    r - 1 to grow its prefix), 32 for the commuting verdict."""
+    t = from_mats(INVARIANT_N5.mats[:4])
+    calls = _counting_mat_mul(monkeypatch)
     assert check_c12(t) == (True, True)
-    assert len(calls) == 4 * 6 + 32
+    assert len(calls) == 6 + 13 + 32 == 51
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_c12_products_counts_an_invariant_tuple(monkeypatch, n):
+    """The estimate behind the search's refusal is the count check_c12
+    makes on an invariant tuple, its most expensive kind."""
+    t = random_tuple("commuting", n, 2, random.Random(n))
+    calls = _counting_mat_mul(monkeypatch)
+    assert check_c12(t) == (True, True)
+    assert len(calls) == matmodel._c12_products(n)
 
 
 def test_check_c12_commuting_family():
@@ -477,30 +571,25 @@ def test_examine_tuple_matches_exhaustive_scan():
 
 def test_examine_tuple_product_count(monkeypatch):
     """A non-invariant dense n=4 tuple whose first pair does not
-    commute: check_c12 stops at the first rotation and the first failed
-    comparison, and the scan then makes one commutator, 2 products, for
+    commute: check_c12 stops at the first rotation's first differing
+    coefficient and the first failed comparison, and the scan then makes one commutator, 2 products, for
     the first pair only: a tuple that fails the relations is never a
     candidate, so its scan ends at the first nonzero commutator."""
     t = from_mats((
         ((1, 2), (0, 1)), ((1, 0), (3, 1)),
         ((2, -1), (1, 0)), ((0, 1), (-2, 3))))
-    calls = []
-    mul = matmodel.mat_mul
-
-    def counted(a, b):
-        calls.append(1)
-        return mul(a, b)
-
-    monkeypatch.setattr(matmodel, "mat_mul", counted)
+    calls = _counting_mat_mul(monkeypatch)
     assert check_c12(t) == (False, False)
     c12 = len(calls)
     calls.clear()
     assert examine_tuple(t) == (
         {"relations_hold": False, "noncommuting": True}, None)
     assert len(calls) == c12 + 2
-    # sigmas of the tuple and of its first rotation, 6 each; the first
+    # the suffix stages, 6; the first rotation's prefix is M_1 and its
+    # sigma_1 costs no product, so its sigma_2 = S_1[2] + S_1[1] M_1,
+    # 1 product, is the first coefficient that differs; the first
     # sigma_1 . M_1 comparison already fails
-    assert c12 == 6 + 6 + 2
+    assert c12 == 6 + 1 + 2
 
 
 def test_commutator_of_commuting_is_zero():
@@ -567,6 +656,23 @@ def test_search_rejects_bad_params():
             {"n": 3, "dim": 2, "family": "dense", "seed": 0, "budget": -1})
 
 
+def test_search_refuses_an_over_budget_run_before_drawing(monkeypatch):
+    """budget times the products of an invariant tuple's check against
+    ring.MAX_TERMS: 5 tuples of 80 matrices take 521805, 6 would take
+    626166."""
+    def no_draw(*args):
+        raise AssertionError("a tuple was drawn")
+
+    monkeypatch.setattr(matmodel, "random_tuple", no_draw)
+    assert matmodel._c12_products(80) == 104361
+    with pytest.raises(ValueError, match="up to 626166 matrix products"):
+        zero_divisor_search({"n": 80, "dim": 2, "family": "commuting",
+                             "seed": 0, "budget": 6})
+    rep = zero_divisor_search({"n": 80, "dim": 2, "family": "commuting",
+                               "seed": 0, "budget": 0})
+    assert rep["examined"] == 0
+
+
 def test_search_block_family_finds_frozen_candidate():
     rep = zero_divisor_search(
         {"n": 3, "dim": 2, "family": "block-triangular",
@@ -592,9 +698,12 @@ from sigmaforge import matmodel
 t = matmodel.MatrixTuple(
     3, 2, [((1, 0), (0, 2)), ((3, 0), (0, 4)), ((5, 0), (0, 6))])
 # the tuple itself gets identity sigmas (which commute with everything),
-# every rotation gets zero sigmas: the two verdicts must disagree
+# every shorter suffix zero sigmas, so the first rotation's sigma_1 is
+# 0 + M_1: the two verdicts must disagree
 eye, zero = ((1, 0), (0, 1)), ((0, 0), (0, 0))
-matmodel.eval_sigmas = lambda mats: [eye if mats == t.mats else zero] * t.n
+matmodel.suffix_sigmas = lambda mats: (
+    [[eye] * len(mats)] + [[zero] * (len(mats) - i)
+                           for i in range(1, len(mats))])
 try:
     matmodel.check_c12(t)
 except AssertionError:
